@@ -1234,7 +1234,10 @@ pub fn read_all(
     };
     let p = comm.size();
 
-    let mut user_buf = IoBuffer::zeroed(plan.total as usize);
+    // The user buffer is allocated when the first payload arrives, in
+    // that payload's kind: a synthetic read never materializes
+    // `plan.total` zero bytes only for `copy_in` to discard them.
+    let mut user_buf: Option<IoBuffer> = None;
     let mut recv_cursors: Vec<PieceCursor<'_>> =
         setup.my_req.iter().map(|v| PieceCursor::new(v)).collect();
     let mut send_cursors: Option<Vec<PieceCursor<'_>>> = setup
@@ -1404,6 +1407,13 @@ pub fn read_all(
                 .position(|&x| x == agg_rank)
                 .expect("payload from a configured aggregator");
             let n = payload.len() as u64;
+            let user_buf = user_buf.get_or_insert_with(|| {
+                if payload.is_real() {
+                    IoBuffer::zeroed(plan.total as usize)
+                } else {
+                    IoBuffer::synthetic(plan.total as usize)
+                }
+            });
             let mut consumed = 0u64;
             recv_cursors[a].consume(n, |piece| {
                 user_buf.copy_in(
@@ -1437,5 +1447,5 @@ pub fn read_all(
         rec.observe("ext2ph_rounds", setup.ntimes as f64);
     }
 
-    user_buf
+    user_buf.unwrap_or_else(|| IoBuffer::zeroed(plan.total as usize))
 }

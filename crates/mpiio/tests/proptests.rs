@@ -243,3 +243,136 @@ proptest! {
         prop_assert_eq!(pooled, unpooled);
     }
 }
+
+/// Byte at absolute file position `p` of the read-back fixtures.
+fn fixture_byte(p: u64) -> u8 {
+    (p.wrapping_mul(131) % 251) as u8
+}
+
+/// One collective read over a file of `segs.len()` segments of `seg`
+/// bytes, segment `i` pre-written as real fixture bytes when `segs[i]`
+/// and as synthetic data otherwise. The job has one rank per segment and
+/// every rank aggregates, so aggregator `i`'s file domain is segment `i`.
+/// Ranks flagged in `readers` read the whole file; the others join the
+/// collective with a zero-length request. Returns each rank's buffer.
+fn collective_read_back(
+    segs: &[bool],
+    seg: u64,
+    readers: &[bool],
+    cb_buffer: u64,
+) -> Vec<simnet::IoBuffer> {
+    use simfs::{FileSystem, FsConfig};
+    use simmpi::{Communicator, Info};
+    use simnet::{run_cluster, ClusterConfig, IoBuffer, SimTime};
+
+    let fs = FileSystem::new(FsConfig::tiny());
+    let (fh, mut t) = fs.open("/readback", SimTime::ZERO);
+    for (i, &real) in segs.iter().enumerate() {
+        let off = i as u64 * seg;
+        let data = if real {
+            IoBuffer::from_vec((off..off + seg).map(fixture_byte).collect())
+        } else {
+            IoBuffer::synthetic(seg as usize)
+        };
+        t = fh.write_at(off, &data, t);
+    }
+    let total = segs.len() as u64 * seg;
+    let readers = readers.to_vec();
+    let info = Info::new().with("cb_buffer_size", cb_buffer as i64);
+    run_cluster(ClusterConfig::ideal(segs.len()), move |ep| {
+        let comm = Communicator::world(&ep);
+        let mut f = mpiio::File::open(&comm, &fs, "/readback", &info);
+        let n = if readers[comm.rank()] { total } else { 0 };
+        let buf = f.read_at_all(0, n);
+        f.close();
+        buf
+    })
+}
+
+/// What a reader of the whole file must get back: the exact bytes when
+/// every segment is real, a synthetic buffer of the full length as soon
+/// as any one is synthetic.
+fn assert_read_back(segs: &[bool], seg: u64, got: &simnet::IoBuffer) {
+    let total = segs.len() as u64 * seg;
+    if segs.iter().all(|&r| r) {
+        let expect: Vec<u8> = (0..total).map(fixture_byte).collect();
+        assert_eq!(got.as_slice().expect("all-real read is real"), &expect[..]);
+    } else {
+        assert_eq!(got, &simnet::IoBuffer::synthetic(total as usize));
+    }
+}
+
+#[test]
+fn all_synthetic_read_returns_synthetic_of_plan_length() {
+    let segs = [false, false, false];
+    let got = collective_read_back(&segs, 512, &[true, true, false], 1 << 20);
+    assert_read_back(&segs, 512, &got[0]);
+    assert_read_back(&segs, 512, &got[1]);
+}
+
+#[test]
+fn all_real_read_is_byte_exact() {
+    let segs = [true, true, true];
+    let got = collective_read_back(&segs, 512, &[true, false, true], 1 << 20);
+    assert_read_back(&segs, 512, &got[0]);
+    assert_read_back(&segs, 512, &got[2]);
+}
+
+#[test]
+fn zero_length_plan_returns_empty_real_buffer() {
+    // Rank 1 joins a collective whose other member reads real data...
+    let got = collective_read_back(&[true, true], 256, &[true, false], 1 << 20);
+    assert!(got[1].is_real() && got[1].is_empty());
+    // ...and a synthetic one, and a collective in which nobody reads.
+    let got = collective_read_back(&[false, false], 256, &[true, false], 1 << 20);
+    assert!(got[1].is_real() && got[1].is_empty());
+    let got = collective_read_back(&[true, false], 256, &[false, false], 1 << 20);
+    assert!(got.iter().all(|b| b.is_real() && b.is_empty()));
+}
+
+#[test]
+fn mixed_read_degrades_to_synthetic_in_either_arrival_order() {
+    // Rank 0 receives rank 1's payload (segment 1) before its own
+    // (segment 0): remote payloads are unpacked before the self payload.
+    // Real piece first: segment 1 real, segment 0 synthetic.
+    let segs = [false, true];
+    let got = collective_read_back(&segs, 1024, &[true, false], 1 << 20);
+    assert_read_back(&segs, 1024, &got[0]);
+    // Synthetic piece first: segment 1 synthetic, segment 0 real.
+    let segs = [true, false];
+    let got = collective_read_back(&segs, 1024, &[true, false], 1 << 20);
+    assert_read_back(&segs, 1024, &got[0]);
+    // Across rounds: with a 256-byte collective buffer the first round
+    // delivers only the head of each segment.
+    for segs in [[true, false], [false, true]] {
+        let got = collective_read_back(&segs, 1024, &[true, true], 256);
+        assert_read_back(&segs, 1024, &got[0]);
+        assert_read_back(&segs, 1024, &got[1]);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// For any mix of real and synthetic segments, readers and round
+    /// sizes, a collective read returns the exact bytes of an all-real
+    /// file and a full-length synthetic buffer otherwise; non-readers
+    /// get an empty real buffer.
+    #[test]
+    fn collective_read_back_keeps_buffer_semantics(
+        segs in proptest::collection::vec(any::<bool>(), 1..5),
+        readers in proptest::collection::vec(any::<bool>(), 4),
+        seg in 1u64..700,
+        cb_buffer in prop_oneof![Just(1u64 << 20), 64u64..512],
+    ) {
+        let readers = &readers[..segs.len()];
+        let got = collective_read_back(&segs, seg, readers, cb_buffer);
+        for (r, buf) in got.iter().enumerate() {
+            if readers[r] {
+                assert_read_back(&segs, seg, buf);
+            } else {
+                prop_assert!(buf.is_real() && buf.is_empty(), "rank {}", r);
+            }
+        }
+    }
+}

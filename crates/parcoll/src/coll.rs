@@ -27,7 +27,7 @@ use crate::autotune::{
 };
 use crate::config::ParcollConfig;
 use crate::fa::{partition_file_areas, partition_file_areas_by, Grouping};
-use crate::iview::{LogicalMap, MappedSpace};
+use crate::iview::{gathered_extents, rank_prefix, LogicalMap, MappedSpace};
 use mpiio::profile::{Phase, PhaseTimer};
 use mpiio::twophase::{self, CollConfig};
 use mpiio::{AccessPlan, Datatype, DirectSpace, Ext, File, PhaseProfile};
@@ -60,10 +60,12 @@ struct GroupCache<'ep> {
 enum CachedMode {
     Direct,
     Iview {
-        map: Arc<LogicalMap>,
         logical_plan: AccessPlan,
         base_start: u64,
-        scatter: bool,
+        /// The full logical⇄physical map, kept only by the
+        /// `parcoll_iview_scatter` ablation: the default view re-addresses
+        /// the file and needs nothing past the rank prefix.
+        scatter: Option<Arc<LogicalMap>>,
     },
 }
 
@@ -297,7 +299,6 @@ fn run_partitioned<'ep>(
                     (PartitionMode::Direct { groups: n_groups }, data)
                 }
                 CachedMode::Iview {
-                    map,
                     logical_plan,
                     base_start,
                     scatter,
@@ -306,7 +307,7 @@ fn run_partitioned<'ep>(
                     // shifted uniformly by the call stride.
                     let delta = plan.start().unwrap_or(*base_start) as i64 - *base_start as i64;
                     let logical_plan = shift_plan(logical_plan, delta);
-                    let data = if *scatter {
+                    let data = if let Some(map) = scatter {
                         let space = MappedSpace::with_delta(Arc::clone(map), delta)
                             .coalesce(pcfg.iview_coalesce);
                         // Scatter mode keeps logical offsets unshifted for
@@ -390,24 +391,25 @@ fn run_partitioned<'ep>(
             let pairs: Vec<(u64, u64)> = plan.extents.iter().map(|e| (e.off, e.len)).collect();
             let all_lists = comm.allgather(codec::encode_pairs(&pairs));
             t.stop_traced(ep.now(), file.profile_mut(), ep.trace());
-            let extent_lists: Vec<Vec<Ext>> = all_lists
-                .iter()
-                .map(|b| {
-                    codec::decode_pairs(b)
-                        .into_iter()
-                        .map(|(o, l)| Ext::new(o, l))
-                        .collect()
-                })
-                .collect();
-            let map = Arc::new(LogicalMap::new(extent_lists));
+            // Only the scatter ablation translates through the full map;
+            // the default view needs just the rank prefix, which one
+            // streaming pass over the gathered lists yields (and which
+            // checks every list sorted and disjoint on the way).
+            let scatter = pcfg.iview_scatter.then(|| {
+                Arc::new(LogicalMap::new(
+                    all_lists
+                        .iter()
+                        .map(|b| gathered_extents(b).collect())
+                        .collect(),
+                ))
+            });
+            let prefix = rank_prefix(all_lists.iter().map(gathered_extents));
 
             // Partition the *logical* file: rank regions are serial, so
             // this is pattern (a) by construction.
-            let logical_ranges: Vec<Option<(u64, u64)>> = (0..p)
-                .map(|r| {
-                    let (s, e) = map.rank_range(r);
-                    (s < e).then_some((s, e))
-                })
+            let logical_ranges: Vec<Option<(u64, u64)>> = prefix
+                .windows(2)
+                .map(|w| (w[0] < w[1]).then_some((w[0], w[1])))
                 .collect();
             let mut grouping = partition_file_areas(&logical_ranges, groups)
                 .expect("logical rank regions are serial and disjoint");
@@ -417,7 +419,7 @@ fn run_partitioned<'ep>(
             let (sub, subcfg) =
                 subgroup_setup(file, cache, &grouping.group_of, n_groups, pcfg.aggs_per_group);
 
-            let (ls, le) = map.rank_range(comm.rank());
+            let (ls, le) = (prefix[comm.rank()], prefix[comm.rank() + 1]);
             let logical_plan = if ls < le {
                 AccessPlan::from_extents(vec![Ext::new(ls, le - ls)])
             } else {
@@ -425,10 +427,9 @@ fn run_partitioned<'ep>(
             };
             if let Some(boxed) = cache.as_mut() {
                 boxed.cache.mode = CachedMode::Iview {
-                    map: Arc::clone(&map),
                     logical_plan: logical_plan.clone(),
                     base_start: plan.start().unwrap_or(0),
-                    scatter: pcfg.iview_scatter,
+                    scatter: scatter.clone(),
                 };
                 boxed.cache.shape = plan_shape(&plan);
             }
@@ -442,7 +443,7 @@ fn run_partitioned<'ep>(
             // library translate consistently. `parcoll_iview_scatter`
             // instead materializes at the original physical offsets — an
             // ablation that demonstrates the cost of doing so.
-            let data = if pcfg.iview_scatter {
+            let data = if let Some(map) = scatter {
                 let space = MappedSpace::new(map).coalesce(pcfg.iview_coalesce);
                 dispatch(&sub, &fh, &space, &logical_plan, write_buf, &subcfg, file)
             } else {

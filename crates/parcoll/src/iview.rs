@@ -39,17 +39,10 @@ impl LogicalMap {
     /// order. Each list must be sorted and disjoint (the access-plan
     /// invariant).
     pub fn new(extent_lists: Vec<Vec<Ext>>) -> Self {
-        let mut rank_prefix = Vec::with_capacity(extent_lists.len() + 1);
-        rank_prefix.push(0u64);
+        let rank_prefix = rank_prefix(extent_lists.iter().map(|exts| exts.iter().copied()));
         let per_rank: Vec<RankMap> = extent_lists
             .into_iter()
             .map(|exts| {
-                for w in exts.windows(2) {
-                    assert!(
-                        w[0].end() <= w[1].off,
-                        "physical extents must be sorted and disjoint per rank"
-                    );
-                }
                 let mut prefix = Vec::with_capacity(exts.len() + 1);
                 let mut acc = 0u64;
                 prefix.push(0);
@@ -57,8 +50,6 @@ impl LogicalMap {
                     acc += e.len;
                     prefix.push(acc);
                 }
-                let total = acc;
-                rank_prefix.push(rank_prefix.last().expect("non-empty prefix") + total);
                 RankMap { exts, prefix }
             })
             .collect();
@@ -134,6 +125,41 @@ impl LogicalMap {
         }
         out
     }
+}
+
+/// Logical start of every rank's region of the intermediate view over
+/// `extent_lists` (len = nprocs + 1), as [`LogicalMap::rank_range`]
+/// reports it. One streaming pass that keeps no extent, so a rank that
+/// only re-addresses its own data needs O(P) memory, not O(all extents).
+/// Panics unless each list is sorted and disjoint, as
+/// [`LogicalMap::new`] does.
+pub fn rank_prefix<L, E>(extent_lists: L) -> Vec<u64>
+where
+    L: IntoIterator<Item = E>,
+    E: IntoIterator<Item = Ext>,
+{
+    let mut prefix = vec![0u64];
+    for exts in extent_lists {
+        let mut acc = 0u64;
+        let mut prev_end: Option<u64> = None;
+        for e in exts {
+            assert!(
+                prev_end.is_none_or(|end| end <= e.off),
+                "physical extents must be sorted and disjoint per rank"
+            );
+            prev_end = Some(e.end());
+            acc += e.len;
+        }
+        prefix.push(prefix.last().expect("non-empty prefix") + acc);
+    }
+    prefix
+}
+
+/// One rank's extent list as gathered for the intermediate view
+/// (`simmpi::codec::encode_pairs` of its `(offset, len)` runs), decoded
+/// lazily.
+pub fn gathered_extents(list: &IoBuffer) -> impl Iterator<Item = Ext> + '_ {
+    simmpi::codec::iter_pairs(list).map(|(off, len)| Ext::new(off, len))
 }
 
 /// A [`FileSpace`] over the logical file of a [`LogicalMap`]: aggregator

@@ -2,10 +2,11 @@
 
 use parcoll::aggdist::distribute_aggregators;
 use parcoll::fa::{partition_file_areas_by, Balance};
-use parcoll::iview::LogicalMap;
+use parcoll::iview::{gathered_extents, rank_prefix, LogicalMap};
 use mpiio::Ext;
 use proptest::prelude::*;
-use simnet::{Mapping, Topology};
+use simmpi::codec;
+use simnet::{IoBuffer, Mapping, Topology};
 
 fn arb_ranges() -> impl Strategy<Value = Vec<Option<(u64, u64)>>> {
     proptest::collection::vec(
@@ -13,6 +14,45 @@ fn arb_ranges() -> impl Strategy<Value = Vec<Option<(u64, u64)>>> {
         1..24,
     )
     .prop_map(|v| v.into_iter().map(|o| o.map(|(s, l)| (s, s + l))).collect())
+}
+
+/// Per-rank physical extent lists, each sorted and disjoint (the
+/// access-plan invariant); some ranks have none.
+fn arb_extent_lists() -> impl Strategy<Value = Vec<Vec<Ext>>> {
+    proptest::collection::vec(proptest::collection::vec((0u64..50u64, 1u64..20), 0..6), 1..6)
+        .prop_map(|lists| {
+            lists
+                .into_iter()
+                .map(|mut v| {
+                    let mut cursor = 0u64;
+                    let mut out = Vec::new();
+                    v.sort();
+                    for (gap, len) in v {
+                        let off = cursor + gap + 1;
+                        out.push(Ext::new(off, len));
+                        cursor = off + len;
+                    }
+                    out
+                })
+                .collect()
+        })
+}
+
+/// Each rank's list as the intermediate view gathers it.
+fn encode(lists: &[Vec<Ext>]) -> Vec<IoBuffer> {
+    lists
+        .iter()
+        .map(|exts| {
+            let pairs: Vec<(u64, u64)> = exts.iter().map(|e| (e.off, e.len)).collect();
+            codec::encode_pairs(&pairs)
+        })
+        .collect()
+}
+
+/// The rank prefix the default intermediate view derives from the
+/// gathered lists, without building a map.
+fn gathered_prefix(gathered: &[IoBuffer]) -> Vec<u64> {
+    rank_prefix(gathered.iter().map(gathered_extents))
 }
 
 proptest! {
@@ -110,24 +150,7 @@ proptest! {
     /// LogicalMap: to_physical covers exactly the requested bytes, in
     /// order, and total equals the sum of extents.
     #[test]
-    fn logical_map_conserves_bytes(lists in proptest::collection::vec(
-        proptest::collection::vec((0u64..50u64, 1u64..20), 0..6), 1..6)) {
-        // Make each rank's extents sorted and disjoint.
-        let lists: Vec<Vec<Ext>> = lists
-            .into_iter()
-            .map(|v| {
-                let mut cursor = 0u64;
-                let mut out = Vec::new();
-                let mut v = v;
-                v.sort();
-                for (gap, len) in v {
-                    let off = cursor + gap + 1;
-                    out.push(Ext::new(off, len));
-                    cursor = off + len;
-                }
-                out
-            })
-            .collect();
+    fn logical_map_conserves_bytes(lists in arb_extent_lists()) {
         let map = LogicalMap::new(lists.clone());
         let total = map.total();
         prop_assert_eq!(
@@ -150,5 +173,50 @@ proptest! {
                 }
             }
         }
+    }
+}
+
+proptest! {
+    /// The default intermediate view's logical rank ranges, derived in
+    /// one streaming pass over the gathered lists, are exactly the ones a
+    /// full `LogicalMap` reports — empty ranks included.
+    #[test]
+    fn iview_prefix_matches_logical_map(lists in arb_extent_lists()) {
+        let prefix = gathered_prefix(&encode(&lists));
+        let map = LogicalMap::new(lists.clone());
+        prop_assert_eq!(prefix.len(), lists.len() + 1);
+        for r in 0..lists.len() {
+            prop_assert_eq!((prefix[r], prefix[r + 1]), map.rank_range(r), "rank {}", r);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The sorted-and-disjoint check survives the move off the map: an
+    /// out-of-order or overlapping list on any rank still panics on the
+    /// default path.
+    #[test]
+    fn iview_prefix_rejects_unsorted_or_overlapping_lists(
+        lists in arb_extent_lists(),
+        bad_rank in any::<usize>(),
+        overlap in any::<bool>(),
+    ) {
+        let mut lists = lists;
+        let r = bad_rank % lists.len();
+        let exts = &mut lists[r];
+        match exts.len() {
+            0 => exts.extend([Ext::new(10, 5), Ext::new(0, 5)]),
+            1 => {
+                let e = exts[0];
+                exts.push(Ext::new(e.off, 1));
+            }
+            _ if overlap => exts[0].len = exts[1].off - exts[0].off + 1,
+            _ => exts.swap(0, 1),
+        }
+        let gathered = encode(&lists);
+        let res = std::panic::catch_unwind(|| gathered_prefix(&gathered));
+        prop_assert!(res.is_err(), "rank {} list {:?} accepted", r, lists[r]);
     }
 }

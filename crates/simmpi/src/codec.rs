@@ -72,9 +72,24 @@ pub fn encode_pairs(pairs: &[(u64, u64)]) -> IoBuffer {
 
 /// Decode a buffer produced by [`encode_pairs`].
 pub fn decode_pairs(buf: &IoBuffer) -> Vec<(u64, u64)> {
-    let vals = decode_u64s(buf);
-    assert!(vals.len().is_multiple_of(2), "pair payload has odd element count");
-    vals.chunks_exact(2).map(|c| (c[0], c[1])).collect()
+    iter_pairs(buf).collect()
+}
+
+/// Decode a buffer produced by [`encode_pairs`] lazily, one pair at a
+/// time, without materializing the list.
+pub fn iter_pairs(buf: &IoBuffer) -> impl Iterator<Item = (u64, u64)> + '_ {
+    let bytes = buf
+        .as_slice()
+        .expect("protocol metadata must be a real buffer");
+    assert!(
+        bytes.len().is_multiple_of(16),
+        "pair metadata payload has odd length {}",
+        bytes.len()
+    );
+    let word = |b: &[u8]| u64::from_le_bytes(b.try_into().expect("chunk of 8"));
+    bytes
+        .chunks_exact(16)
+        .map(move |c| (word(&c[..8]), word(&c[8..])))
 }
 
 #[cfg(test)]
