@@ -117,7 +117,7 @@ impl Ost {
         let _admission = simnet::progress::admit(arrival);
         let mut st = self.state.lock();
         // hostprof: everything under the state lock (fault arithmetic,
-        // queue maintenance, jitter, trace emission) is non-yielding;
+        // queue maintenance, jitter, trace emission) never parks;
         // the admission gate above can block and stays outside the scope.
         let _hp = simtrace::host::scope(simtrace::host::Site::OstServe);
         let mut fault_factor = 1.0f64;
@@ -137,7 +137,6 @@ impl Ost {
                      exceed the retry bound of {}",
                     plan.max_retries
                 );
-                let _timer = plan.hold_timer();
                 st.ops += fails; // each failed attempt burns one op slot
                 let backoff = plan.retry_penalty(fails as u32, SimTime::ZERO);
                 if st.trace.enabled() {

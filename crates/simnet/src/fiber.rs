@@ -1,5 +1,5 @@
-//! Cooperative fiber executor: the ranks of a cluster on one OS thread,
-//! or sharded across a small pool of worker threads.
+//! Cooperative fiber executor: the ranks of a cluster as fibers on a
+//! small pool of worker threads — by default one, the calling thread.
 //!
 //! # Why
 //!
@@ -13,67 +13,58 @@
 //! threads strictly take turns anyway.
 //!
 //! A *fiber* (stackful coroutine) makes the turn-taking explicit. Every
-//! rank gets its own heap-allocated stack, and a scheduler round-robins
-//! them with a userspace context switch (~tens of nanoseconds: the
-//! callee-saved registers and the stack pointer). A rank that would park
-//! instead yields (`yield_now`); the peers it is waiting for run
-//! immediately after, on the same thread.
+//! rank gets its own heap-allocated stack, and a worker switches between
+//! them in userspace (~tens of nanoseconds: the callee-saved registers
+//! and the stack pointer). A rank that must wait *parks* (`park`): it
+//! leaves a `Waker` with what it waits for and switches back to its
+//! worker, which runs the next runnable fiber. The event that satisfies
+//! the wait — a mailbox delivery, a rendezvous completion, a
+//! progress-gate state change — fires the waker, which puts the fiber
+//! back on its worker's run queue. Nobody polls: a parked fiber costs
+//! nothing until it is woken, and a worker with nothing runnable sleeps.
 //!
-//! # Sharding
+//! # Workers
 //!
 //! ParColl subgroups are communication-independent by construction, so
 //! their fibers can run on *different* worker threads with real
-//! parallelism on a multi-core host. `run_fibers_sharded` partitions
-//! the fiber set by a placement map (one worker per ParColl subgroup
-//! block, by default contiguous rank blocks) and runs one scheduler
-//! loop per worker. Cross-worker interactions — cluster-wide
-//! rendezvous, mailbox traffic between subgroups, shared-OST admission
-//! — go through the same mutex-protected wait sites as ever; a fiber
-//! polling a condition another worker will satisfy simply yields until
-//! the producing worker's store is visible under the lock.
+//! parallelism on a multi-core host. `run` partitions the fiber set by
+//! a placement map (one worker per ParColl subgroup block, by default
+//! contiguous rank blocks) and runs one worker loop per worker. Worker 0
+//! is the calling thread, so one worker ([`workers`], env
+//! `SIMNET_WORKERS`, default 1) is the same loop with no extra thread.
+//! Fibers never migrate; a waker may fire on any worker, and it pushes
+//! the fiber onto its home worker's ready queue, waking that worker if
+//! it sleeps.
 //!
 //! # What stays identical
 //!
-//! Virtual time. The simulation's timestamps are already a pure function
-//! of configuration — deterministic under *any* host interleaving (the
-//! regress gate enforces it; the one-thread-per-rank executor is the
-//! existence proof) — and each scheduler merely picks one particular
-//! interleaving. The deterministic merge points are the existing
-//! primitives: rendezvous completion is `max` over entry clocks
-//! (commutative, order-blind), and every shared-resource admission is
-//! ordered by the virtual-time key `(arrival, rank, seq)` in the
-//! progress registry, not by host arrival order. The blocking
-//! primitives keep their mutex protocols; the only difference is *how*
-//! a blocked rank waits (yield vs. condvar), selected per call site by
-//! the private `in_fiber` probe.
+//! Virtual time. The simulation's timestamps are a pure function of
+//! configuration — deterministic under *any* host interleaving (the
+//! regress gate enforces it at one and at four workers) — and each run
+//! merely picks one particular interleaving. The deterministic merge
+//! points are the existing primitives: rendezvous completion is `max`
+//! over entry clocks (commutative, order-blind), and every
+//! shared-resource admission is ordered by the virtual-time key
+//! `(arrival, rank, seq)` in the progress registry, not by host arrival
+//! order. The executor decides only which runnable fiber goes next,
+//! never what a wait returns.
 //!
 //! Code that drives the primitives from plain OS threads (unit tests
-//! spawning `std::thread`) is untouched: without a fiber context the
-//! wait sites fall back to their condition variables.
+//! spawning `std::thread`) goes through the same wait sites: outside a
+//! fiber, `park` parks the thread with `std::thread::park`, and its
+//! waker unparks it.
 //!
-//! # Executor selection
+//! # Exact deadlock detection
 //!
-//! [`run_cluster`](crate::run_cluster) consults [`executor`]: `Fibers`
-//! (the default on x86_64 and aarch64) or `Threads` (other
-//! architectures, nested clusters, or an explicit
-//! `SIMNET_EXECUTOR=threads` / [`set_executor`] override — useful for
-//! A/B-ing the two modes, which must produce bitwise-identical virtual
-//! times). Orthogonally, [`workers`] (env `SIMNET_WORKERS`, default 1,
-//! or [`set_workers`]) picks how many OS threads the fiber executor
-//! shards ranks across.
-//!
-//! # Stall detection across workers
-//!
-//! A deadlock is "every fiber yielding, nothing moving". With one
-//! worker that is one local judgment; with many it must be global — a
-//! worker whose own fibers are all parked is *not* stalled while a
-//! fiber on another worker is mid-slice and about to deliver. Each
-//! worker therefore publishes an idle claim only after `STALL_CYCLES`
-//! consecutive unproductive cycles, stamped with the `EVENTS` value
-//! it observed; the stall callback fires only when every worker has
-//! published a claim (or finished) and the global event counter still
-//! equals every stamp — i.e. nothing has moved anywhere for as long as
-//! the most recently idle worker has been spinning.
+//! The executor keeps one cross-worker count of fibers that are runnable
+//! or running. A park or a completion decrements it; a wake increments it
+//! before queueing the fiber, while the waker is itself still running and
+//! counted, so the count cannot touch zero while anything can still make
+//! progress. When it does reach zero with fibers unfinished, every one of
+//! them is parked and nobody is left to wake it: the run is deadlocked.
+//! The executor hands that to its caller (which records what each rank
+//! waits on) and poisons the cluster; poisoning wakes every fiber, and
+//! each one panics out of its wait. No cycle counting, no timeouts.
 //!
 //! # Safety notes
 //!
@@ -81,64 +72,22 @@
 //! architecture: push the callee-saved registers, swap the stack
 //! pointer, pop, return. Panics never cross the assembly boundary —
 //! each fiber body runs under `catch_unwind` and the payload is carried
-//! back to the scheduler by value, mirroring `JoinHandle::join`. Fiber
+//! back to the worker by value, mirroring `JoinHandle::join`. Fiber
 //! stacks have no OS guard page; a canary word at the stack base turns
 //! silent overflow corruption into a loud panic at fiber completion.
 //! Fibers never migrate between workers, so each fiber's stack and
 //! progress context are only ever touched by the worker that owns it.
 
+use crate::rendezvous::PoisonFlag;
+use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::any::Any;
 use std::cell::Cell;
+use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU8, AtomicUsize, Ordering};
+use std::sync::Arc;
 
-/// Which substrate [`crate::run_cluster`] runs ranks on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Executor {
-    /// Cooperative fibers on the calling thread, optionally sharded
-    /// across [`workers`] worker threads (default on x86_64/aarch64).
-    Fibers,
-    /// One OS thread per rank (fallback; always available).
-    Threads,
-}
-
-/// 0 = unresolved, 1 = fibers, 2 = threads.
-static EXECUTOR: AtomicU8 = AtomicU8::new(0);
-
-/// True when fiber switching is implemented for this architecture.
-const ARCH_SUPPORTED: bool = cfg!(any(target_arch = "x86_64", target_arch = "aarch64"));
-
-/// Select the executor for subsequent [`crate::run_cluster`] calls.
-/// Requesting `Fibers` on an unsupported architecture silently keeps
-/// `Threads`.
-pub fn set_executor(e: Executor) {
-    let v = match e {
-        Executor::Fibers if ARCH_SUPPORTED => 1,
-        _ => 2,
-    };
-    EXECUTOR.store(v, Ordering::Relaxed);
-}
-
-/// The currently selected executor. First use resolves the default:
-/// `SIMNET_EXECUTOR=threads|fibers` if set, else fibers where supported.
-pub fn executor() -> Executor {
-    match EXECUTOR.load(Ordering::Relaxed) {
-        1 => Executor::Fibers,
-        2 => Executor::Threads,
-        _ => {
-            let e = match std::env::var("SIMNET_EXECUTOR").as_deref() {
-                Ok("threads") => Executor::Threads,
-                Ok("fibers") => Executor::Fibers,
-                _ => Executor::Fibers,
-            };
-            set_executor(e);
-            executor()
-        }
-    }
-}
-
-/// 0 = unresolved; otherwise the worker-thread count for the fiber
-/// executor.
+/// 0 = unresolved; otherwise the worker-thread count of the executor.
 static WORKERS: AtomicUsize = AtomicUsize::new(0);
 
 /// Set the process-default worker count for subsequent
@@ -149,9 +98,9 @@ pub fn set_workers(n: usize) {
     WORKERS.store(n.max(1), Ordering::Relaxed);
 }
 
-/// The process-default fiber-executor worker count. First use resolves
-/// `SIMNET_WORKERS=<n>` if set, else 1 (the classic single-threaded
-/// scheduler).
+/// The process-default worker count. First use resolves
+/// `SIMNET_WORKERS=<n>` if set, else 1 (every rank on the thread that
+/// calls [`crate::run_cluster`]).
 pub fn workers() -> usize {
     match WORKERS.load(Ordering::Relaxed) {
         0 => {
@@ -165,19 +114,6 @@ pub fn workers() -> usize {
         }
         n => n,
     }
-}
-
-/// Global event counter for stall detection: bumped by every operation
-/// that can unblock a waiter (packet delivery, rendezvous arrival,
-/// progress-registry transition). A full scheduler cycle in which every
-/// fiber yields and this counter stays put means nobody on that worker
-/// could make progress; all workers observing that simultaneously means
-/// a genuine deadlock rather than ordinary waiting.
-static EVENTS: AtomicU64 = AtomicU64::new(0);
-
-/// Record an unblocking-relevant event (cheap relaxed increment).
-pub(crate) fn note_event() {
-    EVENTS.fetch_add(1, Ordering::Relaxed);
 }
 
 // ---------------------------------------------------------------------
@@ -234,13 +170,16 @@ mod arch {
     /// Lay out a fresh fiber's initial frame below the 16-aligned stack
     /// `top` so that restoring from the returned rsp pops six zeroed
     /// callee-saved registers and `ret`s into `entry` with the stack
-    /// alignment of a freshly `call`ed function.
+    /// alignment of a freshly `call`ed function. The entry's own return
+    /// address is null, so a backtrace taken in the fiber (a panic with
+    /// `RUST_BACKTRACE` set) ends there instead of walking stale heap.
     ///
     /// # Safety
     /// `top` must be the 16-aligned top of a live allocation with at
     /// least 64 bytes below it.
     pub(super) unsafe fn init_frame(top: usize, entry: usize) -> usize {
         unsafe {
+            ((top - 8) as *mut usize).write(0);
             let ret_slot = top - 16; // 16-aligned => rsp ≡ 8 (mod 16) at entry
             (ret_slot as *mut usize).write(entry);
             let rsp = ret_slot - 6 * 8;
@@ -328,18 +267,7 @@ mod arch {
 }
 
 #[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
-mod arch {
-    /// Unsupported architecture: `executor()` never selects fibers, so
-    /// this is unreachable.
-    pub(super) unsafe fn switch(_save: *mut usize, _restore: *const usize) {
-        unreachable!("fiber executor is not supported on this architecture")
-    }
-
-    /// Unreachable twin of the supported architectures' `init_frame`.
-    pub(super) unsafe fn init_frame(_top: usize, _entry: usize) -> usize {
-        unreachable!("fiber executor is not supported on this architecture")
-    }
-}
+compile_error!("simnet's fiber executor has a context switch for x86_64 and aarch64 only");
 
 // ---------------------------------------------------------------------
 // Fiber stacks
@@ -389,22 +317,225 @@ impl Drop for StackMem {
 // Scheduler
 // ---------------------------------------------------------------------
 
-/// Why a fiber switched back to the scheduler.
+/// Why a fiber switched back to its worker.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Action {
-    /// Blocked in a wait site; re-run it later.
-    Yielded,
+    /// Parked in a wait site; resume it once woken.
+    Parked,
     /// The body returned (or unwound); never resume.
     Done,
 }
 
-/// Per-fiber runtime shared between the scheduler and the fiber itself
+/// Fiber state: runnable — queued, or running on its worker.
+const RUNNING: u8 = 0;
+/// Running, and woken before it parked: its next park returns at once.
+const NOTIFIED: u8 = 1;
+/// Parked; the next wake queues it on its worker.
+const PARKED: u8 = 2;
+
+/// Cross-worker state of one executor run.
+struct Sched {
+    /// Per worker: the fibers woken for it since it last looked.
+    ready: Box<[Ready]>,
+    /// Fibers runnable or running, across all workers.
+    active: AtomicUsize,
+    /// Fibers not yet completed.
+    unfinished: AtomicUsize,
+    /// Set when fibers stayed parked even after poisoning: the workers
+    /// give them up instead of sleeping forever.
+    abandoned: AtomicBool,
+}
+
+#[derive(Default)]
+struct Ready {
+    queue: Mutex<ReadyQueue>,
+    cv: Condvar,
+}
+
+#[derive(Default)]
+struct ReadyQueue {
+    /// Worker-local indices of the woken fibers, in wake order.
+    fibers: Vec<usize>,
+    /// The worker sleeps on `cv`, so a push must notify it.
+    sleeping: bool,
+}
+
+impl Sched {
+    /// Sleep until a fiber of worker `me` is woken, then move the woken
+    /// fibers onto `runq`. False when the run was abandoned instead.
+    fn wait_ready(&self, me: usize, runq: &mut VecDeque<usize>) -> bool {
+        let ready = &self.ready[me];
+        let mut q = ready.queue.lock();
+        while q.fibers.is_empty() {
+            if self.abandoned.load(Ordering::SeqCst) {
+                return false;
+            }
+            q.sleeping = true;
+            ready.cv.wait(&mut q);
+            q.sleeping = false;
+        }
+        runq.extend(q.fibers.drain(..));
+        true
+    }
+
+    /// Run by the worker whose park or completion took `active` to zero.
+    fn went_idle(&self, poison: &PoisonFlag, on_deadlock: &(dyn Fn() + Sync)) {
+        if self.unfinished.load(Ordering::SeqCst) == 0 {
+            return;
+        }
+        if !poison.is_poisoned() {
+            // Every unfinished fiber is parked and nothing can wake one:
+            // a deadlock. Report it, then poison, which wakes them all.
+            // Hold one count meanwhile, so no worker whose woken fiber
+            // finishes early sees zero halfway through the wakes.
+            self.active.fetch_add(1, Ordering::SeqCst);
+            on_deadlock();
+            poison.poison();
+            if self.active.fetch_sub(1, Ordering::SeqCst) != 1
+                || self.unfinished.load(Ordering::SeqCst) == 0
+            {
+                return;
+            }
+        }
+        // Nothing runnable although the cluster is poisoned: fibers parked
+        // again after poisoning (a wait that ignores the poison flag).
+        // Give them up rather than hang.
+        self.abandoned.store(true, Ordering::SeqCst);
+        for ready in self.ready.iter() {
+            let _q = ready.queue.lock();
+            ready.cv.notify_all();
+        }
+    }
+}
+
+/// One fiber's wake target, shared by its worker and its wakers.
+struct Slot {
+    /// [`RUNNING`], [`NOTIFIED`] or [`PARKED`]. It enters and leaves
+    /// `PARKED` only by AcqRel compare-exchange: a wake that finds
+    /// `PARKED` happens after the worker's `commit_park`, hence after
+    /// the fiber switched out, so the fiber is queued only once it can
+    /// safely be resumed.
+    state: AtomicU8,
+    /// Home worker.
+    worker: usize,
+    /// Index among the home worker's fibers.
+    local: usize,
+    sched: Arc<Sched>,
+}
+
+impl Slot {
+    fn wake(&self) {
+        let mut cur = self.state.load(Ordering::Acquire);
+        loop {
+            let next = match cur {
+                RUNNING => NOTIFIED,
+                PARKED => RUNNING,
+                _ => return,
+            };
+            match self
+                .state
+                .compare_exchange_weak(cur, next, Ordering::AcqRel, Ordering::Acquire)
+            {
+                Ok(_) => break,
+                Err(now) => cur = now,
+            }
+        }
+        if cur == PARKED {
+            // Counted before it is queued, while the waker (a running
+            // fiber) is still counted too: the runnable count never dips
+            // to zero across a hand-off.
+            self.sched.active.fetch_add(1, Ordering::SeqCst);
+            let ready = &self.sched.ready[self.worker];
+            let mut q = ready.queue.lock();
+            q.fibers.push(self.local);
+            let sleeping = q.sleeping;
+            drop(q);
+            if sleeping {
+                ready.cv.notify_one();
+            }
+        }
+    }
+
+    /// Worker side of a park, run once the fiber has switched out: true
+    /// if it is now parked, false if a wake already arrived (it stays
+    /// runnable).
+    fn commit_park(&self) -> bool {
+        match self
+            .state
+            .compare_exchange(RUNNING, PARKED, Ordering::AcqRel, Ordering::Acquire)
+        {
+            Ok(_) => true,
+            Err(_) => {
+                self.state.store(RUNNING, Ordering::Release);
+                false
+            }
+        }
+    }
+}
+
+/// Wakes one parked fiber or, outside the executor, one parked OS
+/// thread. A wait site captures [`Waker::current`] under its lock and
+/// then [`park`]s; the event that satisfies the wait fires the waker. A
+/// wake that lands before the park is not lost: the park returns at
+/// once. Wakes may be spurious, so wait sites re-check their condition.
+#[derive(Clone)]
+pub(crate) struct Waker(WakeTarget);
+
+#[derive(Clone)]
+enum WakeTarget {
+    Fiber(Arc<Slot>),
+    Thread(std::thread::Thread),
+}
+
+impl Waker {
+    /// The waker of the calling fiber, or of the calling OS thread
+    /// outside the executor.
+    pub(crate) fn current() -> Waker {
+        let rt = CURRENT.with(Cell::get);
+        if rt.is_null() {
+            Waker(WakeTarget::Thread(std::thread::current()))
+        } else {
+            // SAFETY: a non-null CURRENT is the running fiber's boxed
+            // runtime, which its worker keeps alive while the fiber runs.
+            Waker(WakeTarget::Fiber(Arc::clone(unsafe { &(*rt).slot })))
+        }
+    }
+
+    /// Make the target runnable (or, if it has not parked yet, make its
+    /// next park return at once).
+    pub(crate) fn wake(&self) {
+        match &self.0 {
+            WakeTarget::Fiber(slot) => slot.wake(),
+            WakeTarget::Thread(t) => t.unpark(),
+        }
+    }
+
+    /// True when both wake the same fiber or thread.
+    pub(crate) fn same_target(&self, other: &Waker) -> bool {
+        match (&self.0, &other.0) {
+            (WakeTarget::Fiber(a), WakeTarget::Fiber(b)) => Arc::ptr_eq(a, b),
+            (WakeTarget::Thread(a), WakeTarget::Thread(b)) => a.id() == b.id(),
+            _ => false,
+        }
+    }
+}
+
+impl std::fmt::Debug for Waker {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match &self.0 {
+            WakeTarget::Fiber(slot) => write!(f, "Waker(fiber {}/{})", slot.worker, slot.local),
+            WakeTarget::Thread(t) => write!(f, "Waker({:?})", t.id()),
+        }
+    }
+}
+
+/// Per-fiber runtime shared between its worker and the fiber itself
 /// (via the thread-local [`CURRENT`] pointer). Boxed so its address is
-/// stable across scheduler Vec reallocation.
+/// stable.
 struct FiberRt {
     /// Fiber's stack pointer while suspended.
     fiber_rsp: usize,
-    /// Scheduler's stack pointer while the fiber runs.
+    /// Worker's stack pointer while the fiber runs.
     sched_rsp: usize,
     action: Action,
     /// The body; taken by the entry trampoline on first resume.
@@ -413,8 +544,11 @@ struct FiberRt {
     panic: Option<Box<dyn Any + Send>>,
     /// The rank's progress context, parked here while the fiber is
     /// suspended (thread-locals are per OS thread, not per fiber, so the
-    /// scheduler swaps it in and out around every switch).
+    /// worker swaps it in and out around every switch).
     saved_ctx: Option<crate::progress::Ctx>,
+    /// Task index in the run.
+    index: usize,
+    slot: Arc<Slot>,
 }
 
 thread_local! {
@@ -422,25 +556,39 @@ thread_local! {
     static CURRENT: Cell<*mut FiberRt> = const { Cell::new(std::ptr::null_mut()) };
 }
 
-/// True when the calling code runs inside a fiber — wait sites use this
-/// to pick cooperative yielding over condvar parking.
-pub(crate) fn in_fiber() -> bool {
+/// True when the calling code runs inside a fiber.
+fn in_fiber() -> bool {
     CURRENT.with(|c| !c.get().is_null())
 }
 
-/// Yield the current fiber back to the scheduler; it will be re-run
-/// after the other runnable fibers. Must only be called [`in_fiber`].
-pub(crate) fn yield_now() {
-    let rt = CURRENT.with(Cell::get);
-    assert!(!rt.is_null(), "yield_now outside a fiber");
-    unsafe {
-        (*rt).action = Action::Yielded;
-        arch::switch(&raw mut (*rt).fiber_rsp, &raw const (*rt).sched_rsp);
-    }
+/// Park the calling fiber until a [`Waker`] captured from it fires or
+/// `poison` is raised, with `guard`'s lock released meanwhile; panics if
+/// the cluster is poisoned. The caller registers [`Waker::current`]
+/// under `guard` first and re-checks its condition afterwards. Outside
+/// the executor the OS thread parks instead, watched by `poison`.
+pub(crate) fn park<T>(guard: &mut MutexGuard<'_, T>, poison: &PoisonFlag) {
+    poison.check();
+    MutexGuard::unlocked(guard, || {
+        let rt = CURRENT.with(Cell::get);
+        if rt.is_null() {
+            poison.watch(Waker::current());
+            if !poison.is_poisoned() {
+                std::thread::park();
+            }
+        } else {
+            // SAFETY: as in `Waker::current`; `sched_rsp` holds the
+            // worker's stack pointer, saved when it resumed this fiber.
+            unsafe {
+                (*rt).action = Action::Parked;
+                arch::switch(&raw mut (*rt).fiber_rsp, &raw const (*rt).sched_rsp);
+            }
+        }
+    });
+    poison.check();
 }
 
 /// First frame of every fiber: runs the body under `catch_unwind`, then
-/// switches back to the scheduler for good.
+/// switches back to the worker for good.
 extern "C" fn fiber_main() -> ! {
     let rt = CURRENT.with(Cell::get);
     debug_assert!(!rt.is_null(), "fiber_main outside a fiber");
@@ -456,417 +604,344 @@ extern "C" fn fiber_main() -> ! {
     unreachable!("completed fiber resumed")
 }
 
-/// Consecutive fully-unproductive scheduler cycles a worker tolerates
-/// before publishing an idle claim (generous: ordinary waiting always
-/// produces events every cycle).
-const STALL_CYCLES: u64 = 1000;
-/// Additional unproductive cycles after the stall callback before the
-/// scheduler aborts hard (the callback is expected to poison the cluster,
-/// which makes every waiting fiber panic and drain within one cycle).
-const ABORT_CYCLES: u64 = 100_000;
+/// A task body on its way to its worker.
+type Body = (usize, Arc<Slot>, Box<dyn FnOnce() + Send + 'static>);
 
-/// Idle-slot sentinel: the worker has not published an idle claim.
-const NOT_IDLE: u64 = u64::MAX;
-/// Idle-slot sentinel: the worker drained its run queue and exited; it
-/// counts as permanently idle for the all-idle stall condition (a
-/// deadlock among the remaining workers must still be diagnosed).
-const FINISHED: u64 = u64::MAX - 1;
-
-/// Stall-detection state shared by the workers of one fiber run. With
-/// one worker this reduces exactly to the classic single-threaded
-/// detector: the all-idle condition is the worker's own idle claim and
-/// the event stamp is trivially current.
-struct StallCoord<'a, F: Fn() -> bool> {
-    /// Per-worker idle slots: [`NOT_IDLE`], [`FINISHED`], or the
-    /// `EVENTS` value the worker observed across its last
-    /// `STALL_CYCLES` unproductive cycles.
-    slots: Vec<AtomicU64>,
-    /// Bumped when a stall diagnosis is deferred (fault timer in
-    /// flight); every worker re-arms its detector on observing a bump.
-    defer_epoch: AtomicU64,
-    /// Set once the stall callback acknowledged a genuine deadlock.
-    stalled: AtomicBool,
-    /// Serializes stall firing so `on_stall` runs at most once per
-    /// diagnosis.
-    fire: parking_lot::Mutex<()>,
-    on_stall: &'a F,
-}
-
-impl<'a, F: Fn() -> bool> StallCoord<'a, F> {
-    fn new(workers: usize, on_stall: &'a F) -> Self {
-        StallCoord {
-            slots: (0..workers).map(|_| AtomicU64::new(NOT_IDLE)).collect(),
-            defer_epoch: AtomicU64::new(0),
-            stalled: AtomicBool::new(false),
-            fire: parking_lot::Mutex::new(()),
-            on_stall,
-        }
-    }
-
-    /// True when every worker has published an idle claim (or finished)
-    /// and the global event counter still equals every claim's stamp —
-    /// nothing has moved anywhere since the most recent claim.
-    fn all_idle(&self) -> bool {
-        let events_now = EVENTS.load(Ordering::SeqCst);
-        self.slots.iter().all(|s| {
-            let v = s.load(Ordering::Acquire);
-            v == FINISHED || v == events_now
-        })
-    }
-
-    /// Called by a worker whose own detector tripped. Fires `on_stall`
-    /// at most once per diagnosis, and only if the stall is global.
-    fn maybe_fire(&self) {
-        if self.stalled.load(Ordering::Relaxed) || !self.all_idle() {
-            return;
-        }
-        let _g = self.fire.lock();
-        if self.stalled.load(Ordering::Relaxed) {
-            return;
-        }
-        // Re-check under the lock after a scheduling gap: event counters
-        // are bumped just *after* the producing mutation's lock is
-        // released, so there is a nanoseconds-wide window in which a
-        // worker can have made progress the counter does not show yet.
-        std::thread::yield_now();
-        if !self.all_idle() {
-            return;
-        }
-        if (self.on_stall)() {
-            self.stalled.store(true, Ordering::Release);
-        } else {
-            // Deferred (e.g. a fault-injection timer is outstanding):
-            // every worker — including the one firing — re-arms its
-            // detector from scratch on observing the epoch bump.
-            self.defer_epoch.fetch_add(1, Ordering::AcqRel);
-        }
-    }
-}
-
-/// Park politely between unproductive cycles of a multi-worker run: an
-/// idle worker's fibers are waiting on another worker, and burning the
-/// core spinning steals it from the worker that could unblock them
-/// (fatal on a single-CPU host). The sleep stays small enough that
-/// stall detection still fires within tens of milliseconds.
-#[inline]
-fn idle_backoff(unproductive: u64) {
-    if unproductive > 256 {
-        std::thread::sleep(std::time::Duration::from_micros(50));
-    } else if unproductive > 2 {
-        std::thread::yield_now();
-    }
-}
-
-/// One worker's scheduler loop: round-robin the fibers in `fibers`
-/// (pairs of global task index and fiber state) to completion, feeding
-/// the shared stall coordinator. Returns each fiber's panic payload
-/// keyed by its global index.
-fn worker_loop<F: Fn() -> bool>(
+/// One worker: run its fibers to completion, resuming woken ones from
+/// its ready queue and sleeping while there are none. Returns each
+/// completed fiber's panic payload keyed by its task index.
+fn worker_loop(
+    sched: &Sched,
     me: usize,
-    mut fibers: Vec<(usize, StackMem, Box<FiberRt>)>,
+    bodies: Vec<Body>,
     stack_size: usize,
-    coord: &StallCoord<'_, F>,
+    poison: &PoisonFlag,
+    on_deadlock: &(dyn Fn() + Sync),
 ) -> Vec<(usize, Option<Box<dyn Any + Send>>)> {
-    let multi = coord.slots.len() > 1;
-    let mut runq: std::collections::VecDeque<usize> = (0..fibers.len()).collect();
-    let mut out: Vec<(usize, Option<Box<dyn Any + Send>>)> =
-        fibers.iter().map(|(g, _, _)| (*g, None)).collect();
-    let mut unproductive = 0u64;
-    let mut idle_claimed = false;
-    let mut seen_epoch = coord.defer_epoch.load(Ordering::Acquire);
-    // hostprof: the whole scheduler loop is one frame per worker; fiber
-    // slices nest inside it, so this frame's self time is pure
-    // scheduling overhead (run-queue churn, context-switch cost, stall
-    // detection, cross-worker idle backoff).
+    // Stacks and fiber state are built on the worker that owns them and
+    // never leave it.
+    let mut fibers: Vec<(StackMem, Box<FiberRt>)> = bodies
+        .into_iter()
+        .map(|(index, slot, body)| {
+            let stack = StackMem::new(stack_size);
+            let rt = Box::new(FiberRt {
+                fiber_rsp: stack.prepare(fiber_main),
+                sched_rsp: 0,
+                action: Action::Parked,
+                entry: Some(body),
+                panic: None,
+                saved_ctx: None,
+                index,
+                slot,
+            });
+            (stack, rt)
+        })
+        .collect();
+    let mut runq: VecDeque<usize> = (0..fibers.len()).collect();
+    let mut out = Vec::with_capacity(fibers.len());
+    // hostprof: the whole worker loop is one frame per worker; fiber
+    // slices nest inside it, so this frame's self time is scheduling
+    // overhead (run-queue churn, context switches) plus, with several
+    // workers, time asleep waiting for another worker's wake.
     let _sched_scope = simtrace::host::scope(simtrace::host::Site::FiberSched);
-    while !runq.is_empty() {
-        // A deferred stall diagnosis re-arms detection everywhere.
-        let epoch = coord.defer_epoch.load(Ordering::Acquire);
-        if epoch != seen_epoch {
-            seen_epoch = epoch;
-            unproductive = 0;
-            if idle_claimed {
-                coord.slots[me].store(NOT_IDLE, Ordering::Release);
-                idle_claimed = false;
-            }
+    while out.len() < fibers.len() {
+        if runq.is_empty() && !sched.wait_ready(me, &mut runq) {
+            break;
         }
-        let events_before = EVENTS.load(Ordering::Relaxed);
-        let mut any_done = false;
-        // One cycle: resume every currently-runnable fiber once.
-        for _ in 0..runq.len() {
-            let idx = runq.pop_front().expect("runq non-empty within cycle");
-            let (_, stack, rt) = &mut fibers[idx];
-            let rtp: *mut FiberRt = &mut **rt;
-            // hostprof: time one slice (resume -> suspend). The guard is
-            // created and dropped on the scheduler side of the switch, so
-            // it never spans a yield; probes inside the fiber body nest
-            // under this frame because fibers share the worker's
-            // thread-local profiler stack.
-            let run_scope = simtrace::host::scope(simtrace::host::Site::FiberRun);
-            unsafe {
-                crate::progress::tl_set((*rtp).saved_ctx.take());
-                CURRENT.with(|c| c.set(rtp));
-                arch::switch(&raw mut (*rtp).sched_rsp, &raw const (*rtp).fiber_rsp);
-                CURRENT.with(|c| c.set(std::ptr::null_mut()));
-                (*rtp).saved_ctx = crate::progress::tl_take();
-            }
-            drop(run_scope);
-            match rt.action {
-                Action::Yielded => runq.push_back(idx),
-                Action::Done => {
-                    any_done = true;
-                    assert!(
-                        stack.canary_intact(),
-                        "fiber {idx} overflowed its {stack_size}-byte stack \
-                         (canary clobbered); raise ClusterConfig::stack_size"
-                    );
-                    out[idx].1 = rt.panic.take();
+        let idx = runq.pop_front().expect("ready queue non-empty");
+        let (stack, rt) = &mut fibers[idx];
+        let rtp: *mut FiberRt = &mut **rt;
+        // hostprof: time one slice (resume -> suspend). The guard is
+        // created and dropped on the worker side of the switch, so it
+        // never spans a park; probes inside the fiber body nest under
+        // this frame because fibers share the worker's thread-local
+        // profiler stack.
+        let run_scope = simtrace::host::scope(simtrace::host::Site::FiberRun);
+        // SAFETY: `rtp` points into this worker's own boxed runtime;
+        // `fiber_rsp` is the fiber's initial frame or the stack pointer
+        // its last park saved, on a stack `fibers` keeps alive.
+        unsafe {
+            crate::progress::tl_set((*rtp).saved_ctx.take());
+            CURRENT.with(|c| c.set(rtp));
+            arch::switch(&raw mut (*rtp).sched_rsp, &raw const (*rtp).fiber_rsp);
+            CURRENT.with(|c| c.set(std::ptr::null_mut()));
+            (*rtp).saved_ctx = crate::progress::tl_take();
+        }
+        drop(run_scope);
+        match rt.action {
+            Action::Parked => {
+                if !rt.slot.commit_park() {
+                    runq.push_back(idx);
+                    continue;
                 }
             }
-        }
-        if any_done || EVENTS.load(Ordering::Relaxed) != events_before {
-            unproductive = 0;
-            if idle_claimed {
-                coord.slots[me].store(NOT_IDLE, Ordering::Release);
-                idle_claimed = false;
-            }
-        } else {
-            unproductive += 1;
-            if unproductive >= STALL_CYCLES {
-                if !idle_claimed {
-                    // Publish the idle claim stamped with the event count
-                    // this whole unproductive stretch observed.
-                    coord.slots[me].store(events_before, Ordering::Release);
-                    idle_claimed = true;
+            Action::Done => {
+                let mut panic = rt.panic.take();
+                if !stack.canary_intact() {
+                    // Reported as the rank's own panic; the rest of the
+                    // cluster is poisoned as if the body had panicked.
+                    panic = Some(Box::new(format!(
+                        "fiber {} overflowed its {stack_size}-byte stack \
+                         (canary clobbered); raise ClusterConfig::stack_size",
+                        rt.index
+                    )));
+                    poison.poison();
                 }
-                coord.maybe_fire();
+                out.push((rt.index, panic));
+                sched.unfinished.fetch_sub(1, Ordering::SeqCst);
             }
-            assert!(
-                unproductive < STALL_CYCLES + ABORT_CYCLES,
-                "fiber deadlock: {} fibers still blocked after poisoning",
-                runq.len()
-            );
-            if multi {
-                idle_backoff(unproductive);
-            }
+        }
+        if sched.active.fetch_sub(1, Ordering::SeqCst) == 1 {
+            sched.went_idle(poison, on_deadlock);
         }
     }
-    coord.slots[me].store(FINISHED, Ordering::Release);
     out
 }
 
-/// Run `tasks` as cooperatively-scheduled fibers on the calling thread
-/// until all complete; returns each task's panic payload (`None` = clean
-/// return), index-aligned with `tasks`.
+/// Run `tasks` as fibers on `workers` worker threads, task `i` on worker
+/// `placement[i]` (clamped into range); worker 0 is the calling thread.
+/// Returns each task's panic payload (`None` = clean return),
+/// index-aligned with `tasks`. Virtual time is bitwise identical for any
+/// worker count or placement.
 ///
-/// `on_stall` is invoked if the fiber set deadlocks (every fiber
-/// yielding, no unblocking events). Returning `true` acknowledges the
-/// stall — the callback is expected to have poisoned the cluster so the
-/// waiting fibers panic out of their wait loops. Returning `false`
-/// defers the diagnosis (e.g. ranks are legitimately held back by an
-/// in-flight fault-injection timer): the unproductive-cycle count resets
-/// and detection re-arms from scratch.
-pub(crate) fn run_fibers<'a>(
-    tasks: Vec<Box<dyn FnOnce() + 'a>>,
-    stack_size: usize,
-    on_stall: impl Fn() -> bool,
-) -> Vec<Option<Box<dyn Any + Send>>> {
-    assert!(
-        !in_fiber(),
-        "nested fiber executors on one thread are not supported"
-    );
-    let n = tasks.len();
-    let fibers: Vec<(usize, StackMem, Box<FiberRt>)> = tasks
-        .into_iter()
-        .enumerate()
-        .map(|(i, task)| {
-            // The scheduler outlives every fiber (the loop runs them all
-            // to completion before returning), so parking the borrowed
-            // body behind a 'static trait object is sound.
-            let body: Box<dyn FnOnce() + 'static> =
-                unsafe { std::mem::transmute::<Box<dyn FnOnce() + 'a>, _>(task) };
-            let (stack, rt) = new_fiber(body, stack_size);
-            (i, stack, rt)
-        })
-        .collect();
-    let coord = StallCoord::new(1, &on_stall);
-    let mut panics: Vec<Option<Box<dyn Any + Send>>> = (0..n).map(|_| None).collect();
-    for (i, p) in worker_loop(0, fibers, stack_size, &coord) {
-        panics[i] = p;
-    }
-    panics
-}
-
-/// Allocate a stack and fiber state for one task body.
-fn new_fiber(body: Box<dyn FnOnce()>, stack_size: usize) -> (StackMem, Box<FiberRt>) {
-    let stack = StackMem::new(stack_size);
-    let rt = Box::new(FiberRt {
-        fiber_rsp: stack.prepare(fiber_main),
-        sched_rsp: 0,
-        action: Action::Yielded,
-        entry: Some(body),
-        panic: None,
-        saved_ctx: None,
-    });
-    (stack, rt)
-}
-
-/// Run `tasks` as fibers sharded across `workers` OS threads, task `i`
-/// on worker `placement[i]` (clamped into range); returns each task's
-/// panic payload, index-aligned with `tasks`. Semantics match
-/// [`run_fibers`] — in particular virtual time is bitwise identical for
-/// any worker count or placement — with stall detection coordinated
-/// globally across the workers (see the module docs).
-///
-/// Fibers never migrate: each worker round-robins only its own shard,
-/// so per-fiber state needs no synchronization. Cross-shard blocking
-/// runs through the ordinary mutex-protected wait sites, with idle
-/// workers backing off politely so they do not starve the worker that
-/// can unblock them on small hosts.
-pub(crate) fn run_fibers_sharded<'a>(
+/// `poison` watches every fiber. If the run deadlocks — every unfinished
+/// fiber parked — `on_deadlock` runs once, on the worker that noticed and
+/// with every fiber still parked, and then the executor poisons the
+/// cluster, so the parked fibers panic out of their waits.
+pub(crate) fn run<'a>(
     tasks: Vec<Box<dyn FnOnce() + Send + 'a>>,
     placement: &[usize],
     workers: usize,
     stack_size: usize,
-    on_stall: impl Fn() -> bool + Sync,
+    poison: &PoisonFlag,
+    on_deadlock: impl Fn() + Sync,
 ) -> Vec<Option<Box<dyn Any + Send>>> {
     assert!(
         !in_fiber(),
-        "nested fiber executors on one thread are not supported"
+        "nested fiber executors are not supported: a rank cannot start a cluster"
     );
-    assert!(workers >= 1, "sharded executor needs at least one worker");
-    assert_eq!(placement.len(), tasks.len(), "placement must cover every task");
+    assert!(workers >= 1, "the fiber executor needs at least one worker");
+    assert_eq!(
+        placement.len(),
+        tasks.len(),
+        "placement must cover every task"
+    );
     let n = tasks.len();
-    type ShardedBody = (usize, Box<dyn FnOnce() + Send + 'static>);
-    let mut shards: Vec<Vec<ShardedBody>> = (0..workers).map(|_| Vec::new()).collect();
-    for (i, task) in tasks.into_iter().enumerate() {
-        // Sound for the same reason as in `run_fibers`: the scope join
-        // below guarantees every worker loop (and thus every fiber)
-        // completes before the borrowed data can go away.
+    let sched = Arc::new(Sched {
+        ready: (0..workers).map(|_| Ready::default()).collect(),
+        active: AtomicUsize::new(n),
+        unfinished: AtomicUsize::new(n),
+        abandoned: AtomicBool::new(false),
+    });
+    let mut shards: Vec<Vec<Body>> = (0..workers).map(|_| Vec::new()).collect();
+    let mut wakers = Vec::with_capacity(n);
+    for (index, task) in tasks.into_iter().enumerate() {
+        // SAFETY: the scope join below guarantees every worker loop (and
+        // thus every fiber) completes — or, abandoned, is never resumed —
+        // before the borrowed data can go away, so parking the body
+        // behind a 'static trait object is sound.
         let body: Box<dyn FnOnce() + Send + 'static> =
             unsafe { std::mem::transmute::<Box<dyn FnOnce() + Send + 'a>, _>(task) };
-        shards[placement[i].min(workers - 1)].push((i, body));
+        let worker = placement[index].min(workers - 1);
+        let slot = Arc::new(Slot {
+            state: AtomicU8::new(RUNNING),
+            worker,
+            local: shards[worker].len(),
+            sched: Arc::clone(&sched),
+        });
+        wakers.push(Waker(WakeTarget::Fiber(Arc::clone(&slot))));
+        shards[worker].push((index, slot, body));
     }
-    let coord = StallCoord::new(workers, &on_stall);
+    poison.watch_all(wakers);
+    let on_deadlock: &(dyn Fn() + Sync) = &on_deadlock;
     let mut panics: Vec<Option<Box<dyn Any + Send>>> = (0..n).map(|_| None).collect();
     std::thread::scope(|s| {
+        let mut shards = shards.into_iter();
+        let own = shards.next().expect("at least one worker");
         let handles: Vec<_> = shards
-            .into_iter()
             .enumerate()
-            .map(|(w, bodies)| {
-                let coord = &coord;
+            .map(|(k, bodies)| {
+                let sched = &*sched;
                 std::thread::Builder::new()
-                    .name(format!("simnet-worker-{w}"))
+                    .name(format!("simnet-worker-{}", k + 1))
                     .spawn_scoped(s, move || {
-                        // Stacks and fiber state are built on the worker
-                        // that owns them and never leave it.
-                        let fibers: Vec<(usize, StackMem, Box<FiberRt>)> = bodies
-                            .into_iter()
-                            .map(|(i, body)| {
-                                let (stack, rt) = new_fiber(body, stack_size);
-                                (i, stack, rt)
-                            })
-                            .collect();
-                        worker_loop(w, fibers, stack_size, coord)
+                        worker_loop(sched, k + 1, bodies, stack_size, poison, on_deadlock)
                     })
                     .expect("failed to spawn fiber worker thread")
             })
             .collect();
+        let mut done = worker_loop(&sched, 0, own, stack_size, poison, on_deadlock);
         for h in handles {
-            for (i, p) in h.join().expect("fiber worker thread panicked") {
-                panics[i] = p;
-            }
+            done.extend(h.join().expect("fiber worker thread panicked"));
+        }
+        for (index, payload) in done {
+            panics[index] = payload;
         }
     });
+    assert!(
+        !sched.abandoned.load(Ordering::SeqCst),
+        "fiber deadlock: {} fibers still parked after poisoning",
+        sched.unfinished.load(Ordering::SeqCst)
+    );
     panics
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::cell::RefCell;
-    use std::rc::Rc;
-    use std::sync::atomic::AtomicU32;
-    use std::sync::Arc;
 
-    fn run_simple(tasks: Vec<Box<dyn FnOnce() + '_>>) -> Vec<Option<Box<dyn Any + Send>>> {
-        run_fibers(tasks, 64 * 1024, || panic!("unexpected stall"))
+    /// A counter fibers park on until it satisfies a predicate — the
+    /// pattern every blocking primitive reduces to.
+    #[derive(Default)]
+    struct Counter(Mutex<(u32, Vec<Waker>)>);
+
+    impl Counter {
+        fn wait_until(&self, poison: &PoisonFlag, ok: impl Fn(u32) -> bool) {
+            let mut g = self.0.lock();
+            while !ok(g.0) {
+                g.1.push(Waker::current());
+                park(&mut g, poison);
+            }
+        }
+
+        fn add(&self, d: u32) {
+            let mut g = self.0.lock();
+            g.0 += d;
+            for w in g.1.drain(..) {
+                w.wake();
+            }
+        }
+
+        fn get(&self) -> u32 {
+            self.0.lock().0
+        }
+    }
+
+    type Task<'a> = Box<dyn FnOnce() + Send + 'a>;
+    type Panics = Vec<Option<Box<dyn Any + Send>>>;
+
+    /// Run `tasks` on `workers` workers (task `i` on worker `i % W`),
+    /// failing the test if the executor reports a deadlock.
+    fn run_on(workers: usize, poison: &PoisonFlag, tasks: Vec<Task<'_>>) -> Panics {
+        let placement: Vec<usize> = (0..tasks.len()).map(|i| i % workers).collect();
+        let deadlocked = AtomicBool::new(false);
+        let panics = run(tasks, &placement, workers, 64 * 1024, poison, || {
+            deadlocked.store(true, Ordering::SeqCst)
+        });
+        assert!(!deadlocked.load(Ordering::SeqCst), "unexpected deadlock");
+        panics
+    }
+
+    fn payload_str(p: &Option<Box<dyn Any + Send>>) -> String {
+        let p = p.as_ref().expect("panic payload present");
+        p.downcast_ref::<&str>()
+            .map(|s| s.to_string())
+            .or_else(|| p.downcast_ref::<String>().cloned())
+            .expect("string payload")
     }
 
     #[test]
     fn fibers_run_to_completion_in_order() {
-        let log = Rc::new(RefCell::new(Vec::new()));
-        let tasks: Vec<Box<dyn FnOnce()>> = (0..4)
+        let log = Mutex::new(Vec::new());
+        let poison = PoisonFlag::default();
+        let tasks: Vec<Task> = (0..4)
             .map(|i| {
-                let log = Rc::clone(&log);
-                Box::new(move || log.borrow_mut().push(i)) as Box<dyn FnOnce()>
+                let log = &log;
+                Box::new(move || log.lock().push(i)) as Task
             })
             .collect();
-        let panics = run_simple(tasks);
+        let panics = run_on(1, &poison, tasks);
         assert!(panics.iter().all(Option::is_none));
-        assert_eq!(*log.borrow(), vec![0, 1, 2, 3]);
+        assert_eq!(*log.lock(), vec![0, 1, 2, 3]);
     }
 
     #[test]
-    fn yielding_interleaves_round_robin() {
-        let log = Rc::new(RefCell::new(Vec::new()));
-        let tasks: Vec<Box<dyn FnOnce()>> = (0..3)
+    fn parking_passes_a_baton_round_robin() {
+        // Three fibers take turns by parking until the baton is theirs:
+        // steps proceed in lockstep, on one worker or spread over three.
+        for workers in [1, 2, 3] {
+            let log = Mutex::new(Vec::new());
+            let baton = Counter::default();
+            let poison = PoisonFlag::default();
+            let tasks: Vec<Task> = (0..3u32)
+                .map(|i| {
+                    let (log, baton, poison) = (&log, &baton, &poison);
+                    Box::new(move || {
+                        for step in 0..3u32 {
+                            baton.wait_until(poison, |b| b % 3 == i);
+                            log.lock().push((i, step));
+                            baton.add(1);
+                        }
+                    }) as Task
+                })
+                .collect();
+            let panics = run_on(workers, &poison, tasks);
+            assert!(panics.iter().all(Option::is_none));
+            let expect: Vec<(u32, u32)> =
+                (0..3).flat_map(|s| (0..3).map(move |i| (i, s))).collect();
+            assert_eq!(*log.lock(), expect, "{workers} workers");
+        }
+    }
+
+    #[test]
+    fn woken_fibers_resume_in_wake_order() {
+        // Fibers 0-2 park on one counter in start order; fiber 3 wakes
+        // them all, and one worker resumes them in that order.
+        let log = Mutex::new(Vec::new());
+        let gate = Counter::default();
+        let poison = PoisonFlag::default();
+        let mut tasks: Vec<Task> = (0..3)
             .map(|i| {
-                let log = Rc::clone(&log);
+                let (log, gate, poison) = (&log, &gate, &poison);
                 Box::new(move || {
-                    for step in 0..3 {
-                        log.borrow_mut().push((i, step));
-                        yield_now();
-                    }
-                }) as Box<dyn FnOnce()>
+                    gate.wait_until(poison, |g| g > 0);
+                    log.lock().push(i);
+                }) as Task
             })
             .collect();
-        run_simple(tasks);
-        // Steps proceed in lockstep: all fibers' step 0, then step 1, ...
-        let expect: Vec<(usize, usize)> =
-            (0..3).flat_map(|s| (0..3).map(move |i| (i, s))).collect();
-        assert_eq!(*log.borrow(), expect);
+        tasks.push(Box::new(|| gate.add(1)));
+        run_on(1, &poison, tasks);
+        assert_eq!(*log.lock(), vec![0, 1, 2]);
     }
 
     #[test]
     fn panic_is_captured_not_propagated() {
-        let tasks: Vec<Box<dyn FnOnce()>> = vec![
+        let gate = Counter::default();
+        let poison = PoisonFlag::default();
+        let tasks: Vec<Task> = vec![
             Box::new(|| {}),
             Box::new(|| panic!("fiber boom")),
-            Box::new(yield_now),
+            Box::new(|| gate.wait_until(&poison, |g| g > 0)),
+            Box::new(|| gate.add(1)),
         ];
-        let panics = run_simple(tasks);
+        let panics = run_on(1, &poison, tasks);
         assert!(panics[0].is_none());
-        let msg = panics[1]
-            .as_ref()
-            .and_then(|p| p.downcast_ref::<&str>().copied())
-            .expect("payload preserved");
-        assert_eq!(msg, "fiber boom");
-        assert!(panics[2].is_none());
+        assert_eq!(payload_str(&panics[1]), "fiber boom");
+        assert!(panics[2].is_none() && panics[3].is_none());
     }
 
     #[test]
-    fn cooperative_ping_pong_via_shared_state() {
-        // Two fibers alternate incrementing a counter, each waiting for
-        // the other's turn — the pattern every blocking primitive reduces
-        // to under the fiber executor.
-        let turn = Rc::new(Cell::new(0u32));
-        let tasks: Vec<Box<dyn FnOnce()>> = (0..2u32)
-            .map(|me| {
-                let turn = Rc::clone(&turn);
-                Box::new(move || {
-                    for _ in 0..10 {
-                        while turn.get() % 2 != me {
-                            yield_now();
+    fn ping_pong_by_park_and_wake() {
+        // Two fibers alternate turns, each parked while it is the
+        // other's — on one worker, and on two (every wake crosses).
+        for workers in [1, 2] {
+            let turn = Counter::default();
+            let poison = PoisonFlag::default();
+            let tasks: Vec<Task> = (0..2u32)
+                .map(|me| {
+                    let (turn, poison) = (&turn, &poison);
+                    Box::new(move || {
+                        for _ in 0..25 {
+                            turn.wait_until(poison, |t| t % 2 == me);
+                            turn.add(1);
                         }
-                        turn.set(turn.get() + 1);
-                        note_event();
-                    }
-                }) as Box<dyn FnOnce()>
-            })
-            .collect();
-        run_simple(tasks);
-        assert_eq!(turn.get(), 20);
+                    }) as Task
+                })
+                .collect();
+            let panics = run_on(workers, &poison, tasks);
+            assert!(panics.iter().all(Option::is_none));
+            assert_eq!(turn.get(), 50);
+        }
     }
 
     #[test]
@@ -879,70 +954,12 @@ mod tests {
                 burn(depth - 1) + pad.len()
             }
         }
-        let tasks: Vec<Box<dyn FnOnce()>> = vec![Box::new(|| {
+        let tasks: Vec<Task> = vec![Box::new(|| {
             assert_eq!(burn(100), 6400);
         })];
-        let panics = run_fibers(tasks, 256 * 1024, || panic!("stall"));
+        let poison = PoisonFlag::default();
+        let panics = run(tasks, &[0], 1, 256 * 1024, &poison, || {});
         assert!(panics[0].is_none());
-    }
-
-    #[test]
-    fn stall_detection_fires_and_callback_can_release() {
-        // One fiber waits for a flag nothing will set; the stall callback
-        // plays the poison role and sets it.
-        let flag = Rc::new(Cell::new(false));
-        let f2 = Rc::clone(&flag);
-        let tasks: Vec<Box<dyn FnOnce() + '_>> = vec![Box::new(|| {
-            while !flag.get() {
-                yield_now();
-            }
-        })];
-        let panics = run_fibers(tasks, 64 * 1024, move || {
-            f2.set(true);
-            true
-        });
-        assert!(panics[0].is_none());
-    }
-
-    #[test]
-    fn deferred_stall_rearms_instead_of_aborting() {
-        // The callback excuses the first few stall diagnoses (as the
-        // fault layer does while an injected delay is outstanding); the
-        // detector must re-arm rather than hit the hard-abort assert,
-        // then fire again and release the fiber on the final diagnosis.
-        let flag = Rc::new(Cell::new(false));
-        let f2 = Rc::clone(&flag);
-        let deferrals = Rc::new(Cell::new(0u32));
-        let d2 = Rc::clone(&deferrals);
-        let tasks: Vec<Box<dyn FnOnce() + '_>> = vec![Box::new(|| {
-            while !flag.get() {
-                yield_now();
-            }
-        })];
-        let panics = run_fibers(tasks, 64 * 1024, move || {
-            if d2.get() < 3 {
-                d2.set(d2.get() + 1);
-                return false;
-            }
-            f2.set(true);
-            true
-        });
-        assert!(panics[0].is_none());
-        assert_eq!(deferrals.get(), 3, "stall must re-fire after deferrals");
-    }
-
-    #[test]
-    fn executor_selection_round_trips() {
-        let before = executor();
-        set_executor(Executor::Threads);
-        assert_eq!(executor(), Executor::Threads);
-        set_executor(Executor::Fibers);
-        if ARCH_SUPPORTED {
-            assert_eq!(executor(), Executor::Fibers);
-        } else {
-            assert_eq!(executor(), Executor::Threads);
-        }
-        set_executor(before);
     }
 
     #[test]
@@ -955,177 +972,100 @@ mod tests {
         set_workers(before);
     }
 
-    fn run_sharded(
-        tasks: Vec<Box<dyn FnOnce() + Send + '_>>,
-        workers: usize,
-    ) -> Vec<Option<Box<dyn Any + Send>>> {
-        let n = tasks.len();
-        let placement: Vec<usize> = (0..n).map(|i| i * workers / n.max(1)).collect();
-        run_fibers_sharded(tasks, &placement, workers, 64 * 1024, || {
-            panic!("unexpected stall")
-        })
-    }
-
     #[test]
-    fn sharded_tasks_all_complete_and_results_stay_indexed() {
-        let done: Vec<AtomicU32> = (0..10).map(|_| AtomicU32::new(0)).collect();
-        let done = Arc::new(done);
-        let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = (0..10)
-            .map(|i| {
-                let done = Arc::clone(&done);
-                Box::new(move || {
-                    for _ in 0..3 {
-                        yield_now();
-                    }
-                    done[i].store(i as u32 + 1, Ordering::Relaxed);
-                }) as Box<dyn FnOnce() + Send + '_>
-            })
-            .collect();
-        let panics = run_sharded(tasks, 4);
-        assert!(panics.iter().all(Option::is_none));
-        for (i, d) in done.iter().enumerate() {
-            assert_eq!(d.load(Ordering::Relaxed), i as u32 + 1);
+    fn barrier_across_workers_keeps_results_indexed() {
+        // Every task parks until all have arrived, whatever the worker
+        // count — including more workers than tasks.
+        for workers in [1, 2, 4, 16] {
+            let arrived = Counter::default();
+            let done: Vec<AtomicUsize> = (0..10).map(|_| AtomicUsize::new(0)).collect();
+            let poison = PoisonFlag::default();
+            let tasks: Vec<Task> = (0..10)
+                .map(|i| {
+                    let (arrived, done, poison) = (&arrived, &done, &poison);
+                    Box::new(move || {
+                        arrived.add(1);
+                        arrived.wait_until(poison, |a| a == 10);
+                        done[i].store(i + 1, Ordering::Relaxed);
+                    }) as Task
+                })
+                .collect();
+            let panics = run_on(workers, &poison, tasks);
+            assert!(panics.iter().all(Option::is_none));
+            for (i, d) in done.iter().enumerate() {
+                assert_eq!(d.load(Ordering::Relaxed), i + 1, "{workers} workers");
+            }
         }
-    }
-
-    #[test]
-    fn sharded_ping_pong_across_workers() {
-        // Two fibers placed on *different* workers alternate turns via
-        // shared atomics — the cross-worker analogue of the cooperative
-        // ping-pong above, exercising the idle-backoff path.
-        let turn = Arc::new(AtomicU32::new(0));
-        let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = (0..2u32)
-            .map(|me| {
-                let turn = Arc::clone(&turn);
-                Box::new(move || {
-                    for _ in 0..25 {
-                        while turn.load(Ordering::Acquire) % 2 != me {
-                            yield_now();
-                        }
-                        turn.fetch_add(1, Ordering::AcqRel);
-                        note_event();
-                    }
-                }) as Box<dyn FnOnce() + Send + '_>
-            })
-            .collect();
-        let panics = run_fibers_sharded(tasks, &[0, 1], 2, 64 * 1024, || {
-            panic!("unexpected stall")
-        });
-        assert!(panics.iter().all(Option::is_none));
-        assert_eq!(turn.load(Ordering::Relaxed), 50);
     }
 
     #[test]
     fn sharded_panic_is_captured_on_the_right_index() {
-        let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = vec![
-            Box::new(yield_now),
+        let poison = PoisonFlag::default();
+        let tasks: Vec<Task> = vec![
+            Box::new(|| {}),
             Box::new(|| panic!("worker fiber boom")),
             Box::new(|| {}),
         ];
-        let panics = run_sharded(tasks, 3);
+        let panics = run_on(3, &poison, tasks);
         assert!(panics[0].is_none());
-        let msg = panics[1]
-            .as_ref()
-            .and_then(|p| p.downcast_ref::<&str>().copied())
-            .expect("payload preserved");
-        assert_eq!(msg, "worker fiber boom");
+        assert_eq!(payload_str(&panics[1]), "worker fiber boom");
         assert!(panics[2].is_none());
     }
 
     #[test]
-    fn sharded_stall_requires_every_worker_idle() {
-        // Worker 0's fiber busy-works with events for a while (so worker
-        // 0 is productive), then releases worker 1's fiber. The stall
-        // callback must NOT fire: only *global* quiescence is a stall.
-        let release = Arc::new(AtomicU32::new(0));
-        let r2 = Arc::clone(&release);
-        let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = vec![
-            Box::new(move || {
-                for _ in 0..5000 {
-                    note_event();
-                    yield_now();
-                }
-                r2.store(1, Ordering::Release);
-                note_event();
+    fn busy_worker_is_not_a_deadlock() {
+        // Worker 1's fiber parks while worker 0's fiber computes without
+        // parking for a while, then wakes it: the count of runnable
+        // fibers never reaches zero, so no deadlock is reported.
+        let gate = Counter::default();
+        let poison = PoisonFlag::default();
+        let tasks: Vec<Task> = vec![
+            Box::new(|| {
+                std::thread::sleep(std::time::Duration::from_millis(20));
+                gate.add(1);
             }),
-            Box::new(move || {
-                while release.load(Ordering::Acquire) == 0 {
-                    yield_now();
-                }
-            }),
+            Box::new(|| gate.wait_until(&poison, |g| g > 0)),
         ];
-        let panics = run_fibers_sharded(tasks, &[0, 1], 2, 64 * 1024, || {
-            panic!("spurious stall: one worker was still productive")
-        });
+        let panics = run_on(2, &poison, tasks);
         assert!(panics.iter().all(Option::is_none));
     }
 
     #[test]
-    fn sharded_global_deadlock_is_diagnosed() {
-        // Both workers' fibers wait on a flag only the stall callback
-        // sets — the genuine global deadlock case, including a finished
-        // worker (task 2 returns immediately, draining worker 2).
-        let flag = Arc::new(AtomicU32::new(0));
-        let f1 = Arc::clone(&flag);
-        let f2 = Arc::clone(&flag);
-        let f3 = Arc::clone(&flag);
-        let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = vec![
-            Box::new(move || {
-                while f1.load(Ordering::Acquire) == 0 {
-                    yield_now();
-                }
-            }),
-            Box::new(move || {
-                while f2.load(Ordering::Acquire) == 0 {
-                    yield_now();
-                }
-            }),
-            Box::new(|| {}),
-        ];
-        let panics = run_fibers_sharded(tasks, &[0, 1, 2], 3, 64 * 1024, move || {
-            f3.store(1, Ordering::Release);
-            note_event();
-            true
-        });
-        assert!(panics.iter().all(Option::is_none));
-    }
-
-    #[test]
-    fn sharded_matches_solo_for_send_tasks() {
-        // The same Send workload through both entry points finishes with
-        // the same per-task results (panics and effects), whatever the
-        // worker count — including more workers than tasks.
-        let run_with = |workers: Option<usize>| -> Vec<u32> {
-            let out: Vec<AtomicU32> = (0..6).map(|_| AtomicU32::new(0)).collect();
-            let out = Arc::new(out);
-            let mk = |i: usize, out: &Arc<Vec<AtomicU32>>| {
-                let out = Arc::clone(out);
-                move || {
-                    for step in 0..4u32 {
-                        out[i].fetch_add(step + i as u32, Ordering::Relaxed);
-                        yield_now();
-                    }
-                }
-            };
-            match workers {
-                None => {
-                    let tasks: Vec<Box<dyn FnOnce() + '_>> =
-                        (0..6).map(|i| Box::new(mk(i, &out)) as Box<dyn FnOnce() + '_>).collect();
-                    run_fibers(tasks, 64 * 1024, || panic!("stall"));
-                }
-                Some(w) => {
-                    let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = (0..6)
-                        .map(|i| Box::new(mk(i, &out)) as Box<dyn FnOnce() + Send + '_>)
-                        .collect();
-                    let placement: Vec<usize> = (0..6).map(|i| i % w).collect();
-                    run_fibers_sharded(tasks, &placement, w, 64 * 1024, || panic!("stall"));
-                }
-            }
-            out.iter().map(|a| a.load(Ordering::Relaxed)).collect()
-        };
-        let solo = run_with(None);
-        for w in [1, 2, 4, 8] {
-            assert_eq!(run_with(Some(w)), solo, "worker count {w} changed results");
+    fn deadlock_is_reported_once_then_poison_releases_every_fiber() {
+        // Two fibers park on a counter nobody bumps; a third finishes
+        // (draining its worker). The deadlock is reported exactly once,
+        // then the poison wakes the parked fibers, on whichever worker,
+        // and they panic out of their waits.
+        for workers in [1, 2, 3] {
+            let gate = Counter::default();
+            let poison = PoisonFlag::default();
+            let reports = AtomicUsize::new(0);
+            let tasks: Vec<Task> = vec![
+                Box::new(|| gate.wait_until(&poison, |g| g > 0)),
+                Box::new(|| gate.wait_until(&poison, |g| g > 0)),
+                Box::new(|| {}),
+            ];
+            let placement: Vec<usize> = (0..3).map(|i| i % workers).collect();
+            let panics = run(tasks, &placement, workers, 64 * 1024, &poison, || {
+                reports.fetch_add(1, Ordering::SeqCst);
+            });
+            assert_eq!(reports.load(Ordering::SeqCst), 1, "{workers} workers");
+            assert!(payload_str(&panics[0]).contains("poisoned"));
+            assert!(payload_str(&panics[1]).contains("poisoned"));
+            assert!(panics[2].is_none());
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "still parked after poisoning")]
+    fn fibers_that_ignore_the_poison_are_given_up_not_hung() {
+        // A wait that checks a flag other than the run's poison: after
+        // the deadlock report and the poison, the fiber parks again and
+        // the executor gives it up instead of sleeping forever.
+        let poison = PoisonFlag::default();
+        let gate = Counter::default();
+        let unwatched = PoisonFlag::default();
+        let tasks: Vec<Task> = vec![Box::new(|| gate.wait_until(&unwatched, |g| g > 0))];
+        run(tasks, &[0], 1, 64 * 1024, &poison, || {});
     }
 }

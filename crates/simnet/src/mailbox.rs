@@ -12,24 +12,23 @@
 //!
 //! # Sharding
 //!
-//! The store is sharded **per source rank**: queues and the receiver's
-//! condition variable live in `shards[src]`. Because matching is fully
+//! The store is sharded **per source rank**: queues and the parked
+//! receiver's waker live in `shards[src]`. Because matching is fully
 //! qualified, a receive only ever touches its source's shard, so the
 //! all-to-one exchange pattern of two-phase I/O — up to 1024 senders
 //! depositing into one aggregator's mailbox — never contends on a single
-//! lock, and a delivery wakes the receiver with one targeted
-//! `notify_one` instead of broadcasting. Only the owner thread ever
-//! receives from a mailbox, so each shard has at most one waiter and
-//! `notify_one` can never strand a second one.
+//! lock, and a delivery wakes only the receiver parked on that shard.
+//! Only the owner rank ever receives from a mailbox, so each shard has
+//! at most one waiter.
 
 use crate::buffer::IoBuffer;
+use crate::fiber::{park, Waker};
 use crate::rendezvous::PoisonFlag;
 use crate::time::SimTime;
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// A message in flight.
 #[derive(Debug, Clone)]
@@ -62,11 +61,11 @@ pub struct Packet {
 /// `(context, tag)` pair.
 type ShardKey = (u32, i32);
 
-/// One source rank's queues plus the receiver-side wakeup channel.
+/// One source rank's queues plus the receiver parked on them.
 #[derive(Default)]
 struct Shard {
-    queues: Mutex<HashMap<ShardKey, VecDeque<Packet>>>,
-    cv: Condvar,
+    queues: HashMap<ShardKey, VecDeque<Packet>>,
+    waiter: Option<Waker>,
 }
 
 /// One rank's incoming-message store.
@@ -75,11 +74,11 @@ pub struct Mailbox {
     /// to report to the progress registry on blocking and delivery.
     owner: usize,
     /// Per-source shards, indexed by the sending rank.
-    shards: Box<[Shard]>,
+    shards: Box<[Mutex<Shard>]>,
     poison: Arc<PoisonFlag>,
-    /// Times the receiver was woken by a notify and found its match.
+    /// Times the receiver was woken and found its match.
     wakeups: AtomicU64,
-    /// Times the receiver was woken by a notify without a matching
+    /// Times the receiver was woken without a matching
     /// packet (a same-source delivery on a different `(ctx, tag)`).
     spurious_wakeups: AtomicU64,
 }
@@ -90,22 +89,20 @@ impl std::fmt::Debug for Mailbox {
     }
 }
 
-const POISON_POLL: Duration = Duration::from_millis(50);
-
 impl Mailbox {
     /// New empty mailbox for receiving rank `owner` in a cluster of
     /// `nranks` possible senders, sharing the cluster poison flag.
     pub fn new(owner: usize, nranks: usize, poison: Arc<PoisonFlag>) -> Self {
         Mailbox {
             owner,
-            shards: (0..nranks.max(1)).map(|_| Shard::default()).collect(),
+            shards: (0..nranks.max(1)).map(|_| Mutex::default()).collect(),
             poison,
             wakeups: AtomicU64::new(0),
             spurious_wakeups: AtomicU64::new(0),
         }
     }
 
-    fn shard(&self, src: usize) -> &Shard {
+    fn shard(&self, src: usize) -> &Mutex<Shard> {
         &self.shards[src]
     }
 
@@ -119,37 +116,36 @@ impl Mailbox {
     /// registers under the same shard lock, so the protocol is unchanged
     /// from the single-lock design — just per source.)
     pub fn deliver(&self, pkt: Packet) {
-        // hostprof: deposit + targeted notify; nothing below yields.
+        // hostprof: deposit + targeted wake; nothing below parks.
         let _hp = simtrace::host::scope(simtrace::host::Site::MboxDeliver);
-        let shard = self.shard(pkt.src);
         let key = (pkt.ctx, pkt.tag);
         let src = pkt.src;
-        let mut q = shard.queues.lock();
-        q.entry(key).or_default().push_back(pkt);
+        let mut shard = self.shard(src).lock();
+        shard.queues.entry(key).or_default().push_back(pkt);
         crate::progress::tl_deliver_downgrade(self.owner, src, key.0, key.1);
-        drop(q);
-        shard.cv.notify_one();
-        crate::fiber::note_event();
+        let waiter = shard.waiter.take();
+        drop(shard);
+        if let Some(w) = waiter {
+            w.wake();
+        }
     }
 
     /// Receive the next packet matching `(src, ctx, tag)`, blocking until
     /// one arrives. Panics if the cluster is poisoned while waiting.
     pub fn recv(&self, src: usize, ctx: u32, tag: i32) -> Packet {
-        let shard = self.shard(src);
         let key = (ctx, tag);
-        let mut q = shard.queues.lock();
+        let mut shard = self.shard(src).lock();
         let mut registered = false;
         let mut woken = false;
-        let mut polls = 0u32;
         loop {
             // hostprof: one lock-held matching pass. The guard is dropped
-            // before the yield/wait below, so the frame never absorbs the
-            // time spent blocked (which belongs to other fibers' work).
+            // before the park below, so the frame never absorbs the time
+            // spent parked (which belongs to other fibers' work).
             let hp = simtrace::host::scope(simtrace::host::Site::MboxRecv);
-            if let Some(dq) = q.get_mut(&key) {
+            if let Some(dq) = shard.queues.get_mut(&key) {
                 if let Some(pkt) = dq.pop_front() {
                     if dq.is_empty() {
-                        q.remove(&key);
+                        shard.queues.remove(&key);
                     }
                     if registered {
                         // Normally the delivering sender already
@@ -175,36 +171,20 @@ impl Mailbox {
                 registered = true;
             }
             drop(hp);
-            self.poison.check();
-            if crate::fiber::in_fiber() {
-                // Cooperative executor: the sender is another fiber on
-                // this thread — unlock, let it run, re-check. No notify
-                // is involved, so this never counts as a (spurious)
-                // wakeup.
-                parking_lot::MutexGuard::unlocked(&mut q, crate::fiber::yield_now);
-                woken = false;
-            } else {
-                woken = !shard.cv.wait_for(&mut q, POISON_POLL).timed_out();
-            }
-            self.poison.check();
-            polls += 1;
-            if polls == crate::progress::STALL_DEBUG_POLLS && crate::progress::stall_debug() {
-                eprintln!(
-                    "mailbox stalled: rank {} waiting on ({src},{ctx},{tag})",
-                    self.owner
-                );
-            }
+            shard.waiter = Some(Waker::current());
+            park(&mut shard, &self.poison);
+            woken = true;
         }
     }
 
     /// Non-blocking probe: take a matching packet if present.
     pub fn try_recv(&self, src: usize, ctx: u32, tag: i32) -> Option<Packet> {
         let key = (ctx, tag);
-        let mut q = self.shard(src).queues.lock();
-        let dq = q.get_mut(&key)?;
+        let mut shard = self.shard(src).lock();
+        let dq = shard.queues.get_mut(&key)?;
         let pkt = dq.pop_front();
         if dq.is_empty() {
-            q.remove(&key);
+            shard.queues.remove(&key);
         }
         pkt
     }
@@ -213,19 +193,19 @@ impl Mailbox {
     pub fn backlog(&self) -> usize {
         self.shards
             .iter()
-            .map(|s| s.queues.lock().values().map(VecDeque::len).sum::<usize>())
+            .map(|s| s.lock().queues.values().map(VecDeque::len).sum::<usize>())
             .sum()
     }
 
-    /// Notified wakeups the receiver observed that found their match.
-    /// Diagnostic: with per-source sharding every delivery wakes at most
-    /// this mailbox's owner, so this tracks productive deliveries.
+    /// Wakeups the receiver observed that found their match. Diagnostic:
+    /// with per-source sharding every delivery wakes at most this
+    /// mailbox's owner, so this tracks productive deliveries.
     pub fn wakeups(&self) -> u64 {
         self.wakeups.load(Ordering::Relaxed)
     }
 
-    /// Notified wakeups that found no matching packet — a same-source
-    /// delivery on a different `(ctx, tag)` than the one being awaited.
+    /// Wakeups that found no matching packet — a same-source delivery on
+    /// a different `(ctx, tag)` than the one being awaited.
     /// Single-tag exchanges (the two-phase data path) keep this at zero;
     /// the regression test asserts it.
     pub fn spurious_wakeups(&self) -> u64 {
@@ -237,6 +217,7 @@ impl Mailbox {
 mod tests {
     use super::*;
     use std::thread;
+    use std::time::Duration;
 
     fn mbox() -> Arc<Mailbox> {
         Arc::new(Mailbox::new(0, 4, Arc::new(PoisonFlag::default())))

@@ -8,8 +8,9 @@
 //! draws and completion times run-to-run.
 //!
 //! The [`ProgressRegistry`] closes that hole: every cluster run carries
-//! one registry, each rank thread installs a thread-local handle, and a
-//! resource calls [`admit`] before mutating its state. Admission blocks
+//! one registry, each rank installs a thread-local handle (carried with
+//! its fiber across switches), and a resource calls [`admit`] before
+//! mutating its state. Admission blocks
 //! (in *host* time only — no virtual time is charged) until the request's
 //! key `(virtual arrival, rank, seq)` is provably the smallest the
 //! cluster can still produce, which makes the admission order — and hence
@@ -55,12 +56,13 @@
 //! `Ost` or `Mailbox` directly) bypass the gate entirely: [`admit`] is a
 //! no-op and behavior is byte-identical to the ungated code.
 
+use crate::fiber::{park, Waker};
 use crate::rendezvous::PoisonFlag;
 use crate::time::SimTime;
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 use std::cell::RefCell;
+use std::fmt::Write as _;
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Admission key of one resource request. Ordered lexicographically by
 /// `(arrival, rank, seq)`; unique because `seq` is globally monotone.
@@ -102,21 +104,14 @@ struct RankState {
     /// Lower bound (virtual time) on this rank's future request arrivals.
     floor: SimTime,
     mode: Mode,
+    /// Set while the rank is parked in the gate; taken by the wake.
+    waiter: Option<Waker>,
 }
 
 #[derive(Debug)]
 struct Inner {
     ranks: Vec<RankState>,
     next_seq: u64,
-    /// Bumped by every state change (all of which run through
-    /// [`ProgressRegistry::wake_min`]). Spinning waiters in
-    /// [`ProgressRegistry::acquire`] use it to skip the `O(n)`
-    /// admissibility re-scan when nothing has changed since the scan
-    /// last said no — admissibility is a pure function of this state,
-    /// so an unchanged version means an unchanged verdict. This matters
-    /// most under the sharded fiber executor, where several workers
-    /// poll the one registry concurrently.
-    version: u64,
 }
 
 /// Cluster-wide admission gate; one per [`crate::run_cluster`] run.
@@ -124,31 +119,16 @@ struct Inner {
 /// Wakeups are *targeted*: at any instant at most one pending request —
 /// the one with the smallest `(arrival, rank, seq)` key — can possibly
 /// be admissible (any larger pending key fails against it), so every
-/// state change wakes only that request's rank on its own condition
-/// variable instead of broadcasting to all parked rank threads. With
-/// 512–1024 rank threads this turns each release from a thundering herd
-/// of `O(n)` wakeups (each re-running the admissibility scan and going
-/// back to sleep) into a single handoff.
+/// state change wakes only that request's rank instead of broadcasting
+/// to all parked ranks. With 512–1024 ranks this turns each release
+/// from a thundering herd of `O(n)` wakeups (each re-running the
+/// admissibility scan and parking again) into a single handoff — and
+/// since nothing else can make a pending request admissible, a rank
+/// parked here is never stranded.
 #[derive(Debug)]
 pub struct ProgressRegistry {
     inner: Mutex<Inner>,
-    /// One condvar per rank; rank `r` waits only on `cvs[r]`.
-    cvs: Box<[Condvar]>,
     poison: Arc<PoisonFlag>,
-}
-
-const POISON_POLL: Duration = Duration::from_millis(50);
-
-/// Number of poison polls after which a blocked wait reports itself when
-/// `SIMNET_STALL_DEBUG` is set (~5s of host time — far beyond any
-/// legitimate wait in the test suite, short enough to diagnose hangs).
-pub(crate) const STALL_DEBUG_POLLS: u32 = 100;
-
-/// True when substrate waits should print a one-shot diagnostic after
-/// [`STALL_DEBUG_POLLS`] polls. Keyed off the `SIMNET_STALL_DEBUG`
-/// environment variable; checked only on the stall path, never per-poll.
-pub(crate) fn stall_debug() -> bool {
-    std::env::var_os("SIMNET_STALL_DEBUG").is_some()
 }
 
 /// Lower bound on a rank's future request arrivals. `strict` means the
@@ -199,22 +179,20 @@ impl ProgressRegistry {
                     .map(|_| RankState {
                         floor: SimTime::ZERO,
                         mode: Mode::Running,
+                        waiter: None,
                     })
                     .collect(),
                 next_seq: 0,
-                version: 0,
             }),
-            cvs: (0..n).map(|_| Condvar::new()).collect(),
             poison,
         }
     }
 
     /// Wake the one rank whose pending request could now be admissible:
     /// the holder of the minimum pending key. (If that rank currently
-    /// *holds* the admission rather than waiting, the notify is a no-op
-    /// and the next wake happens at its release — which re-runs this.)
+    /// *holds* the admission rather than waiting, it has no waker and
+    /// the next wake happens at its release — which re-runs this.)
     fn wake_min(&self, inner: &mut Inner) {
-        inner.version += 1;
         let mut best: Option<(&ReqKey, usize)> = None;
         for (r, st) in inner.ranks.iter().enumerate() {
             if let Mode::Pending { key } = &st.mode {
@@ -224,11 +202,10 @@ impl ProgressRegistry {
             }
         }
         if let Some((_, r)) = best {
-            self.cvs[r].notify_one();
+            if let Some(w) = inner.ranks[r].waiter.take() {
+                w.wake();
+            }
         }
-        // Every registry state change runs through here; under the fiber
-        // executor it doubles as the liveness signal for stall detection.
-        crate::fiber::note_event();
     }
 
     /// Lower bound on rank `r`'s future request arrivals, from the
@@ -367,35 +344,9 @@ impl ProgressRegistry {
         // The new pending key raises this rank's bound for everyone
         // else, possibly unblocking the current minimum pending request.
         self.wake_min(&mut inner);
-        let mut polls = 0u32;
-        // Version of the registry state the last failed scan saw: an
-        // unchanged version on wake means an unchanged (negative)
-        // verdict, so the scan can be skipped outright.
-        let mut denied_at: Option<u64> = None;
-        while denied_at == Some(inner.version) || {
-            let ok = Self::admissible(&inner, &key);
-            if !ok {
-                denied_at = Some(inner.version);
-            }
-            !ok
-        } {
-            self.poison.check();
-            if crate::fiber::in_fiber() {
-                // Cooperative executor: release the lock and let the
-                // other ranks (fibers on this same thread) run; they are
-                // the only source of the state change we're waiting for.
-                parking_lot::MutexGuard::unlocked(&mut inner, crate::fiber::yield_now);
-            } else {
-                self.cvs[rank].wait_for(&mut inner, POISON_POLL);
-            }
-            self.poison.check();
-            polls += 1;
-            if polls == STALL_DEBUG_POLLS && stall_debug() {
-                eprintln!("progress gate stalled: rank {rank} key {key:?}");
-                for (r, st) in inner.ranks.iter().enumerate() {
-                    eprintln!("  rank {r}: floor {:?} mode {:?}", st.floor, st.mode);
-                }
-            }
+        while !Self::admissible(&inner, &key) {
+            inner.ranks[rank].waiter = Some(Waker::current());
+            park(&mut inner, &self.poison);
         }
     }
 
@@ -477,6 +428,36 @@ impl ProgressRegistry {
         let mut inner = self.inner.lock();
         inner.ranks[rank].mode = Mode::Finished;
         self.wake_min(&mut inner);
+    }
+
+    /// What every unfinished rank waits on: the diagnosis of a deadlock,
+    /// read while no rank can run.
+    pub(crate) fn deadlock_report(&self) -> String {
+        let inner = self.inner.lock();
+        let mut out = String::from(
+            "simnet deadlock: every unfinished rank is parked and none can wake another",
+        );
+        for (r, st) in inner.ranks.iter().enumerate() {
+            let _ = match &st.mode {
+                Mode::Finished => continue,
+                Mode::Recv { src, ctx, tag } => write!(
+                    out,
+                    "\n  rank {r}: mailbox receive (src, ctx, tag) = ({src}, {ctx}, {tag})"
+                ),
+                Mode::Rdv { id, members } => write!(
+                    out,
+                    "\n  rank {r}: rendezvous {id} of {} ranks",
+                    members.len()
+                ),
+                Mode::Pending { key } => write!(
+                    out,
+                    "\n  rank {r}: progress gate, request (arrival, rank, seq) = ({}, {}, {})",
+                    key.arrival, key.rank, key.seq
+                ),
+                Mode::Running => write!(out, "\n  rank {r}: a rendezvous drain"),
+            };
+        }
+        out
     }
 }
 
@@ -594,6 +575,7 @@ pub(crate) fn tl_unblock() {
 mod tests {
     use super::*;
     use std::thread;
+    use std::time::Duration;
 
     fn registry(n: usize) -> Arc<ProgressRegistry> {
         Arc::new(ProgressRegistry::new(n, Arc::new(PoisonFlag::default())))

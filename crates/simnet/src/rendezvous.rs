@@ -14,34 +14,58 @@
 //! The meeting point is reusable (generation-counted), so one `Rendezvous`
 //! serves every collective ever executed on a communicator.
 
+use crate::fiber::{park, Waker};
 use crate::time::SimTime;
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 use std::any::Any;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Process-global id source for rendezvous instances, so the progress
 /// registry can tell meeting points apart when downgrading waiters.
 static RDV_ID: AtomicU64 = AtomicU64::new(0);
 
-/// Shared flag that aborts all blocked substrate waits when any rank
-/// panics, so a failing test reports the panic instead of deadlocking.
+/// Shared flag that aborts all parked substrate waits when any rank
+/// panics or the cluster deadlocks, so a failing run reports instead of
+/// hanging.
 #[derive(Debug, Default)]
-pub struct PoisonFlag(AtomicBool);
+pub struct PoisonFlag {
+    poisoned: AtomicBool,
+    /// Woken once, on poisoning: every fiber of the run, and every OS
+    /// thread that parked in a wait site sharing this flag.
+    watchers: Mutex<Vec<Waker>>,
+}
 
 impl PoisonFlag {
-    /// Mark the cluster as poisoned.
+    /// Mark the cluster as poisoned and wake everything parked on it.
     pub fn poison(&self) {
-        self.0.store(true, Ordering::SeqCst);
-        // Unblocks every waiter (they poll the flag), so it is also a
-        // liveness event for the fiber scheduler's stall detector.
-        crate::fiber::note_event();
+        if self.poisoned.swap(true, Ordering::SeqCst) {
+            return;
+        }
+        let watchers = std::mem::take(&mut *self.watchers.lock());
+        for w in watchers {
+            w.wake();
+        }
     }
 
     /// True once poisoned.
     pub fn is_poisoned(&self) -> bool {
-        self.0.load(Ordering::SeqCst)
+        self.poisoned.load(Ordering::SeqCst)
+    }
+
+    /// Wake `w` on poisoning; a target already watched is not added
+    /// twice (a thread re-watches on every park).
+    pub(crate) fn watch(&self, w: Waker) {
+        let mut watchers = self.watchers.lock();
+        if !watchers.iter().any(|x| x.same_target(&w)) {
+            watchers.push(w);
+        }
+    }
+
+    /// Wake each of `wakers` — distinct fibers of a new run — on
+    /// poisoning.
+    pub(crate) fn watch_all(&self, wakers: Vec<Waker>) {
+        self.watchers.lock().extend(wakers);
     }
 
     /// Panic (propagating the failure) if poisoned.
@@ -78,6 +102,9 @@ struct State {
     clocks: Vec<SimTime>,
     result: Option<(SharedResult, SimTime, MeetInfo)>,
     draining: usize,
+    /// Participants parked until the meeting completes, or until the
+    /// previous one has drained.
+    waiters: Vec<Waker>,
 }
 
 /// A reusable meeting point for a fixed set of `n` participants.
@@ -93,7 +120,6 @@ pub struct Rendezvous {
     /// requester-dependence rule.
     participants: Option<Arc<Vec<usize>>>,
     state: Mutex<State>,
-    cv: Condvar,
     poison: Arc<PoisonFlag>,
 }
 
@@ -102,10 +128,6 @@ impl std::fmt::Debug for Rendezvous {
         f.debug_struct("Rendezvous").field("n", &self.n).finish()
     }
 }
-
-/// How long a blocked participant sleeps between poison checks. Purely a
-/// liveness knob for failure cases; correct runs are woken by notify.
-const POISON_POLL: Duration = Duration::from_millis(50);
 
 impl Rendezvous {
     /// Create a meeting point for `n` participants sharing `poison`.
@@ -134,7 +156,6 @@ impl Rendezvous {
                 clocks: vec![SimTime::ZERO; n],
                 ..State::default()
             }),
-            cv: Condvar::new(),
             poison,
         }
     }
@@ -186,16 +207,9 @@ impl Rendezvous {
         let mut st = self.state.lock();
 
         // Wait for the previous generation to fully drain before joining.
-        let mut polls = 0u32;
         while st.result.is_some() {
-            self.poisonable_wait(&mut st);
-            polls += 1;
-            if polls == crate::progress::STALL_DEBUG_POLLS && crate::progress::stall_debug() {
-                eprintln!(
-                    "rendezvous drain stalled: id {} gen {} idx {idx} draining {}",
-                    self.id, st.generation, st.draining
-                );
-            }
+            st.waiters.push(Waker::current());
+            park(&mut st, &self.poison);
         }
 
         let gen = st.generation;
@@ -206,7 +220,6 @@ impl Rendezvous {
         st.inputs[idx] = Some(Box::new(input));
         st.clocks[idx] = now;
         st.arrived += 1;
-        crate::fiber::note_event();
 
         if st.arrived == self.n {
             let inputs: Vec<T> = st
@@ -247,7 +260,9 @@ impl Rendezvous {
             if let Some(members) = &self.participants {
                 crate::progress::tl_complete_rdv(self.id, members);
             }
-            self.cv.notify_all();
+            for w in st.waiters.drain(..) {
+                w.wake();
+            }
         } else {
             // Register this rank as parked in the meeting (atomic with
             // the deposit, under the state lock): its wake is bounded by
@@ -259,16 +274,9 @@ impl Rendezvous {
                 .map(Arc::clone)
                 .unwrap_or_default();
             crate::progress::tl_block_rdv(self.id, members);
-            let mut polls = 0u32;
             while st.generation == gen && st.result.is_none() {
-                self.poisonable_wait(&mut st);
-                polls += 1;
-                if polls == crate::progress::STALL_DEBUG_POLLS && crate::progress::stall_debug() {
-                    eprintln!(
-                        "rendezvous stalled: id {} gen {gen} idx {idx} arrived {}/{}",
-                        self.id, st.arrived, self.n
-                    );
-                }
+                st.waiters.push(Waker::current());
+                park(&mut st, &self.poison);
             }
             // Normally the last arrival already downgraded us;
             // self-clear covers meetings completed by threads without a
@@ -285,8 +293,9 @@ impl Rendezvous {
             st.result = None;
             st.arrived = 0;
             st.generation += 1;
-            self.cv.notify_all();
-            crate::fiber::note_event();
+            for w in st.waiters.drain(..) {
+                w.wake();
+            }
         }
         drop(st);
 
@@ -295,24 +304,13 @@ impl Rendezvous {
             .expect("all participants use the same result type");
         (typed, completion, info)
     }
-
-    fn poisonable_wait(&self, st: &mut parking_lot::MutexGuard<'_, State>) {
-        self.poison.check();
-        if crate::fiber::in_fiber() {
-            // Cooperative executor: the peers we are meeting are fibers
-            // on this same thread — unlock, run them, re-check.
-            parking_lot::MutexGuard::unlocked(st, crate::fiber::yield_now);
-        } else {
-            self.cv.wait_for(st, POISON_POLL);
-        }
-        self.poison.check();
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::thread;
+    use std::time::Duration;
 
     fn rdv(n: usize) -> Arc<Rendezvous> {
         Arc::new(Rendezvous::new(n, Arc::new(PoisonFlag::default())))

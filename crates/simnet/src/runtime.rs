@@ -1,4 +1,4 @@
-//! Cluster runtime: spawn one thread per rank, join results.
+//! Cluster runtime: run one fiber per rank, join results.
 
 use crate::endpoint::Endpoint;
 use crate::fault::{FaultPlan, FaultState};
@@ -8,9 +8,9 @@ use crate::model::{MachineModel, NetworkModel};
 use crate::progress::{self, ProgressRegistry};
 use crate::rendezvous::{PoisonFlag, Rendezvous};
 use crate::topology::{Mapping, Topology};
+use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::thread;
 
 /// Process-wide default for [`ClusterConfig::stack_size`], picked up by
 /// every constructor (and by harnesses that build configs indirectly,
@@ -41,15 +41,14 @@ pub struct ClusterConfig {
     pub net: NetworkModel,
     /// Local machine cost model.
     pub machine: MachineModel,
-    /// Stack size per rank (OS-thread stack or fiber stack, depending on
-    /// the executor). The protocols here iterate rather than recurse, so
-    /// ranks are shallow: the quick-scale hostperf suite passes with
-    /// 32 KiB fiber stacks (canary-checked — an overflow panics rather
-    /// than corrupting) and 64 KiB thread stacks, measured via
-    /// `hostperf --stack-size`. The default stays at 1 MiB of *virtual*
-    /// reservation: pages are committed on touch, so 1024 ranks cost
-    /// 1 GiB of address space but only a few MiB of resident stack, and
-    /// the margin matters for fiber stacks, which have no guard page.
+    /// Fiber stack size per rank. The protocols here iterate rather than
+    /// recurse, so ranks are shallow: the quick-scale hostperf suite
+    /// passes with 32 KiB stacks (canary-checked — an overflow panics
+    /// rather than corrupting), measured via `hostperf --stack-size`.
+    /// The default stays at 1 MiB of *virtual* reservation: pages are
+    /// committed on touch, so 1024 ranks cost 1 GiB of address space but
+    /// only a few MiB of resident stack, and the margin matters because
+    /// fiber stacks have no guard page.
     pub stack_size: usize,
     /// Trace sink shared by every rank. Disabled by default: each
     /// recording call returns after one branch, so uninstrumented runs
@@ -59,14 +58,10 @@ pub struct ClusterConfig {
     /// is the unperturbed cluster, bitwise identical to a build without
     /// the fault layer.
     pub faults: Option<Arc<FaultPlan>>,
-    /// Worker threads for the fiber executor: `0` (the default) uses the
-    /// process default ([`crate::fiber::workers`], i.e. `SIMNET_WORKERS`
-    /// or 1). Purely a host-side knob — virtual time and every
-    /// deterministic artifact are bitwise identical for any value.
-    pub workers: usize,
-    /// Rank → worker placement hint for the sharded fiber executor
-    /// (length `nranks`, values below the worker count; out-of-range
-    /// values clamp). `None` falls back to contiguous rank blocks.
+    /// Rank → worker placement hint for the fiber executor (length
+    /// `nranks`, values below the worker count [`crate::fiber::workers`];
+    /// out-of-range values clamp). `None` falls back to contiguous rank
+    /// blocks.
     /// ParColl callers align this to subgroup boundaries so each
     /// subgroup's communication stays worker-local. Placement affects
     /// host performance only, never virtual time.
@@ -84,7 +79,6 @@ impl ClusterConfig {
             stack_size: default_stack_size(),
             trace: simtrace::TraceSink::disabled(),
             faults: None,
-            workers: 0,
             placement: None,
         }
     }
@@ -98,7 +92,6 @@ impl ClusterConfig {
             stack_size: default_stack_size(),
             trace: simtrace::TraceSink::disabled(),
             faults: None,
-            workers: 0,
             placement: None,
         }
     }
@@ -106,17 +99,20 @@ impl ClusterConfig {
 
 /// Run `f` once per rank and collect the return values in rank order.
 ///
-/// Ranks execute on the substrate selected by [`crate::fiber::executor`]:
-/// cooperative fibers on the calling thread (the default — orders of
-/// magnitude cheaper per blocking operation on a loaded or small host),
-/// or one OS thread per rank (`SIMNET_EXECUTOR=threads`, non-x86_64
-/// hosts, and clusters started from inside another cluster's rank).
-/// Virtual-time results are bitwise identical across the two.
+/// Ranks run as fibers on [`crate::fiber::workers`] worker threads
+/// (`SIMNET_WORKERS`, default 1: every rank on the calling thread),
+/// placed by [`ClusterConfig::placement`]. A rank that waits parks until
+/// the event it waits for wakes it. Virtual-time results are bitwise
+/// identical for every worker count and placement. A rank cannot start
+/// a cluster of its own (nested clusters panic).
 ///
-/// If any rank panics, the cluster is poisoned (unblocking every rank
-/// stuck in a receive or collective) and this function re-panics with the
+/// If any rank panics, the cluster is poisoned (waking every rank parked
+/// in a receive or collective) and this function re-panics with the
 /// original rank's panic payload, so test failures surface rather than
-/// deadlock.
+/// deadlock. If the ranks deadlock — every unfinished rank parked, none
+/// able to wake another — it panics with a report naming each parked
+/// rank and what it waits on: a mailbox `(src, ctx, tag)`, a
+/// rendezvous, or a progress-gate request.
 ///
 /// # Examples
 ///
@@ -133,6 +129,16 @@ impl ClusterConfig {
 /// assert_eq!(out, vec![3, 0, 1, 2]);
 /// ```
 pub fn run_cluster<T, F>(cfg: ClusterConfig, f: F) -> Vec<T>
+where
+    T: Send + 'static,
+    F: Fn(Endpoint) -> T + Send + Sync + 'static,
+{
+    run_on_workers(cfg, crate::fiber::workers(), f)
+}
+
+/// [`run_cluster`] on `workers` worker threads instead of the process
+/// default.
+fn run_on_workers<T, F>(cfg: ClusterConfig, workers: usize, f: F) -> Vec<T>
 where
     T: Send + 'static,
     F: Fn(Endpoint) -> T + Send + Sync + 'static,
@@ -157,11 +163,11 @@ where
     let ctx_counter = Arc::new(AtomicU32::new(1)); // 0 is reserved for world
     let f = Arc::new(f);
 
-    /// Poisons the cluster if the owning thread unwinds.
+    /// Poisons the cluster if the owning rank unwinds.
     struct PoisonOnPanic(Arc<PoisonFlag>);
     impl Drop for PoisonOnPanic {
         fn drop(&mut self) {
-            if thread::panicking() {
+            if std::thread::panicking() {
                 self.0.poison();
             }
         }
@@ -191,152 +197,51 @@ where
         )
     };
 
-    // A cluster started from inside another cluster's rank (fiber) must
-    // not nest a second scheduler on the same stack — fall back to
-    // threads for the inner run.
-    if crate::fiber::executor() == crate::fiber::Executor::Fibers && !crate::fiber::in_fiber() {
-        let workers = if cfg.workers == 0 {
-            crate::fiber::workers()
-        } else {
-            cfg.workers
-        }
-        .clamp(1, n.max(1));
-        if workers > 1 {
-            // Sharded fiber executor: partition ranks across worker
-            // threads (by the placement hint, aligned to ParColl
-            // subgroups when the caller provides one) and run one
-            // scheduler per worker. Virtual time is identical to the
-            // single-worker path — determinism never depended on the
-            // interleaving — so this changes host wall-clock only.
-            let placement: Vec<usize> = match cfg.placement.as_deref() {
-                Some(p) if p.len() == n => {
-                    p.iter().map(|&w| w.min(workers - 1)).collect()
-                }
-                _ => (0..n).map(|r| r * workers / n).collect(),
-            };
-            let slots: Vec<parking_lot::Mutex<Option<T>>> =
-                (0..n).map(|_| parking_lot::Mutex::new(None)).collect();
-            let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = slots
-                .iter()
-                .enumerate()
-                .map(|(rank, slot)| {
-                    let ep = make_ep(rank);
-                    let f = Arc::clone(&f);
-                    let guard_flag = Arc::clone(&poison);
-                    let registry = Arc::clone(&registry);
-                    Box::new(move || {
-                        let _guard = PoisonOnPanic(guard_flag);
-                        // See the single-worker path below for the
-                        // context's role.
-                        let _ctx = progress::install(registry, rank);
-                        *slot.lock() = Some(f(ep));
-                    }) as Box<dyn FnOnce() + Send + '_>
-                })
-                .collect();
-            let stall_flag = Arc::clone(&poison);
-            let stall_plan = cfg.faults.clone();
-            let panics = crate::fiber::run_fibers_sharded(
-                tasks,
-                &placement,
-                workers,
-                cfg.stack_size,
-                move || {
-                    if stall_plan.as_ref().is_some_and(|p| p.outstanding() > 0) {
-                        return false;
-                    }
-                    stall_flag.poison();
-                    true
-                },
-            );
-            if let Some(payload) = pick_primary(panics.into_iter().flatten()) {
-                std::panic::resume_unwind(payload);
-            }
-            return slots
-                .into_iter()
-                .map(|s| {
-                    s.into_inner()
-                        .expect("every fiber completed without panicking")
-                })
-                .collect();
-        }
-        let slots: Vec<std::cell::RefCell<Option<T>>> =
-            (0..n).map(|_| std::cell::RefCell::new(None)).collect();
-        let tasks: Vec<Box<dyn FnOnce() + '_>> = slots
-            .iter()
-            .enumerate()
-            .map(|(rank, slot)| {
-                let ep = make_ep(rank);
-                let f = Arc::clone(&f);
-                let guard_flag = Arc::clone(&poison);
-                let registry = Arc::clone(&registry);
-                Box::new(move || {
-                    let _guard = PoisonOnPanic(guard_flag);
-                    // Progress context: lets shared resources (OSTs, the
-                    // NIC) admit this rank's requests in virtual-time
-                    // order. Dropped (rank -> Finished) after `f`, even
-                    // on panic, so gate waiters never deadlock on us.
-                    let _ctx = progress::install(registry, rank);
-                    *slot.borrow_mut() = Some(f(ep));
-                }) as Box<dyn FnOnce() + '_>
-            })
-            .collect();
-        // A genuine deadlock (every fiber yielding, nothing moving) is
-        // resolved like a rank panic: poison the cluster so the blocked
-        // fibers panic out of their waits and report. A rank held back by
-        // an in-flight fault timer (injected delay, failover detection)
-        // is *not* a deadlock — defer while any timer is outstanding.
-        let stall_flag = Arc::clone(&poison);
-        let stall_plan = cfg.faults.clone();
-        let panics = crate::fiber::run_fibers(tasks, cfg.stack_size, move || {
-            if stall_plan.as_ref().is_some_and(|p| p.outstanding() > 0) {
-                return false;
-            }
-            stall_flag.poison();
-            true
-        });
-        if let Some(payload) = pick_primary(panics.into_iter().flatten()) {
-            std::panic::resume_unwind(payload);
-        }
-        return slots
-            .into_iter()
-            .map(|s| {
-                s.into_inner()
-                    .expect("every fiber completed without panicking")
-            })
-            .collect();
-    }
-
-    let handles: Vec<_> = (0..n)
-        .map(|rank| {
+    let workers = workers.clamp(1, n.max(1));
+    let placement: Vec<usize> = match cfg.placement.as_deref() {
+        Some(p) if p.len() == n => p.iter().map(|&w| w.min(workers - 1)).collect(),
+        _ => (0..n).map(|r| r * workers / n).collect(),
+    };
+    let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
+    let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = slots
+        .iter()
+        .enumerate()
+        .map(|(rank, slot)| {
             let ep = make_ep(rank);
             let f = Arc::clone(&f);
             let guard_flag = Arc::clone(&poison);
             let registry = Arc::clone(&registry);
-            thread::Builder::new()
-                .name(format!("rank-{rank}"))
-                .stack_size(cfg.stack_size)
-                .spawn(move || {
-                    let _guard = PoisonOnPanic(guard_flag);
-                    // See the fiber path above for the context's role.
-                    let _ctx = progress::install(registry, rank);
-                    f(ep)
-                })
-                .expect("failed to spawn rank thread")
+            Box::new(move || {
+                let _guard = PoisonOnPanic(guard_flag);
+                // Progress context: lets shared resources (OSTs, the
+                // NIC) admit this rank's requests in virtual-time order.
+                // Dropped (rank -> Finished) after `f`, even on panic, so
+                // gate waiters never deadlock on us.
+                let _ctx = progress::install(registry, rank);
+                *slot.lock() = Some(f(ep));
+            }) as Box<dyn FnOnce() + Send + '_>
         })
         .collect();
-
-    let mut results = Vec::with_capacity(n);
-    let mut panics = Vec::new();
-    for h in handles {
-        match h.join() {
-            Ok(v) => results.push(v),
-            Err(payload) => panics.push(payload),
-        }
+    // On a deadlock the executor calls back while every rank is parked,
+    // so the registry shows what each one waits on; it then poisons the
+    // cluster, and the parked ranks panic out of their waits.
+    let deadlock: Mutex<Option<String>> = Mutex::new(None);
+    let panics = crate::fiber::run(tasks, &placement, workers, cfg.stack_size, &poison, || {
+        *deadlock.lock() = Some(registry.deadlock_report());
+    });
+    if let Some(report) = deadlock.into_inner() {
+        panic!("{report}");
     }
-    if let Some(payload) = pick_primary(panics) {
+    if let Some(payload) = pick_primary(panics.into_iter().flatten()) {
         std::panic::resume_unwind(payload);
     }
-    results
+    slots
+        .into_iter()
+        .map(|s| {
+            s.into_inner()
+                .expect("every rank completed without panicking")
+        })
+        .collect()
 }
 
 /// Pick the panic to re-throw from a cluster run: prefer the originating
@@ -415,39 +320,12 @@ mod tests {
     }
 
     #[test]
-    fn fibers_and_threads_agree_on_virtual_time() {
-        // The executor is a host-side substrate choice; virtual
-        // timestamps must be bitwise identical across it. Exercises
-        // sends, receives and a collective under contention.
-        let workload = |ep: crate::endpoint::Endpoint| {
-            let n = ep.size();
-            let next = (ep.rank() + 1) % n;
-            let prev = (ep.rank() + n - 1) % n;
-            ep.send(next, 0, 1, IoBuffer::synthetic(1 << 14));
-            let _ = ep.recv(prev, 0, 1);
-            let rdv = ep.world_rendezvous();
-            let (_, done) = rdv.meet(ep.rank(), ep.now(), (), |_, max| ((), max));
-            ep.clock().advance_to(done);
-            ep.now().as_secs()
-        };
-        let run = |e: crate::fiber::Executor| {
-            crate::fiber::set_executor(e);
-            run_cluster(ClusterConfig::cray_xt(12, Mapping::Cyclic), workload)
-        };
-        let before = crate::fiber::executor();
-        let fibers = run(crate::fiber::Executor::Fibers);
-        let threads = run(crate::fiber::Executor::Threads);
-        crate::fiber::set_executor(before);
-        assert_eq!(fibers, threads, "executor choice leaked into virtual time");
-    }
-
-    #[test]
     fn sharded_and_single_agree_on_virtual_time() {
-        // The sharded fiber executor is a host-side substrate choice
-        // exactly like fibers-vs-threads: virtual timestamps must be
-        // bitwise identical for every worker count and placement,
-        // including workers exceeding the rank count and a placement
-        // hint that splits communicating ranks across workers.
+        // The worker count is a host-side substrate choice: virtual
+        // timestamps must be bitwise identical for every worker count
+        // and placement, including workers exceeding the rank count and
+        // a placement hint that splits communicating ranks across
+        // workers. Exercises sends, receives and a collective.
         let workload = |ep: crate::endpoint::Endpoint| {
             let n = ep.size();
             let next = (ep.rank() + 1) % n;
@@ -459,28 +337,17 @@ mod tests {
             ep.clock().advance_to(done);
             ep.now().as_secs()
         };
-        let run = |e: crate::fiber::Executor, workers: usize, placement: Option<Vec<usize>>| {
-            crate::fiber::set_executor(e);
+        let run = |workers: usize, placement: Option<Vec<usize>>| {
             let mut cfg = ClusterConfig::cray_xt(12, Mapping::Cyclic);
-            cfg.workers = workers;
             cfg.placement = placement.map(Arc::new);
-            run_cluster(cfg, workload)
+            run_on_workers(cfg, workers, workload)
         };
-        let before = crate::fiber::executor();
-        let single = run(crate::fiber::Executor::Fibers, 1, None);
-        let threads = run(crate::fiber::Executor::Threads, 1, None);
+        let single = run(1, None);
         for w in [2, 4, 8, 16] {
-            let sharded = run(crate::fiber::Executor::Fibers, w, None);
-            assert_eq!(sharded, single, "workers={w} changed virtual time");
+            assert_eq!(run(w, None), single, "workers={w} changed virtual time");
         }
-        let scattered = run(
-            crate::fiber::Executor::Fibers,
-            4,
-            Some((0..12).map(|r| r % 4).collect()),
-        );
-        crate::fiber::set_executor(before);
+        let scattered = run(4, Some((0..12).map(|r| r % 4).collect()));
         assert_eq!(scattered, single, "placement hint changed virtual time");
-        assert_eq!(threads, single, "thread fallback changed virtual time");
     }
 
     #[test]
@@ -506,16 +373,84 @@ mod tests {
         assert!(ids.iter().all(|&i| i >= 1));
     }
 
+    /// Run a cluster that must panic; returns the panic message.
+    fn panic_message<F>(cfg: ClusterConfig, workers: usize, f: F) -> String
+    where
+        F: Fn(Endpoint) + Send + Sync + 'static,
+    {
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            run_on_workers(cfg, workers, f)
+        }))
+        .expect_err("the cluster run must panic");
+        payload
+            .downcast_ref::<String>()
+            .cloned()
+            .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+            .expect("string panic payload")
+    }
+
     #[test]
-    #[should_panic(expected = "rank 2 exploded")]
     fn rank_panic_propagates_instead_of_deadlocking() {
-        run_cluster(ClusterConfig::ideal(4), |ep| {
-            if ep.rank() == 2 {
-                panic!("rank 2 exploded");
+        // Rank 2 sits alone on the last worker; the others, on worker 0,
+        // park in a world meeting rank 2 never joins. Poison must wake
+        // them across workers, and the original payload must win over
+        // their "cluster poisoned" echoes.
+        for workers in [1, 2, 4] {
+            let mut cfg = ClusterConfig::ideal(4);
+            let placement = (0..4).map(|r| if r == 2 { workers - 1 } else { 0 });
+            cfg.placement = Some(Arc::new(placement.collect()));
+            let msg = panic_message(cfg, workers, |ep| {
+                let rdv = ep.world_rendezvous();
+                rdv.meet(ep.rank(), ep.now(), (), |_, max| ((), max));
+                if ep.rank() == 2 {
+                    // Let the others park first.
+                    std::thread::sleep(std::time::Duration::from_millis(20));
+                    panic!("rank 2 exploded");
+                }
+                rdv.meet(ep.rank(), ep.now(), (), |_, max| ((), max));
+            });
+            assert_eq!(msg, "rank 2 exploded", "{workers} workers");
+        }
+    }
+
+    #[test]
+    fn deadlock_panics_with_what_each_rank_waits_on() {
+        // Rank 1 receives a message nobody sends; every other rank
+        // finishes. The run must panic at once — at one worker and at
+        // two — naming the parked rank and its mailbox key.
+        for workers in [1, 2] {
+            let msg = panic_message(ClusterConfig::ideal(4), workers, |ep| {
+                if ep.rank() == 1 {
+                    let _ = ep.recv(2, 0, 99);
+                }
+            });
+            assert!(msg.contains("simnet deadlock"), "{msg}");
+            assert!(
+                msg.contains("rank 1: mailbox receive (src, ctx, tag) = (2, 0, 99)"),
+                "{msg}"
+            );
+            assert!(!msg.contains("rank 0") && !msg.contains("rank 3"), "{msg}");
+        }
+    }
+
+    #[test]
+    fn deadlock_report_names_every_parked_rank() {
+        // Ranks 0 and 1 park in a world meeting ranks 2 and 3 never
+        // reach: rank 2 receives from rank 3, which receives from rank 2.
+        let msg = panic_message(ClusterConfig::ideal(4), 2, |ep| match ep.rank() {
+            2 => drop(ep.recv(3, 0, 5)),
+            3 => drop(ep.recv(2, 0, 5)),
+            _ => {
+                let rdv = ep.world_rendezvous();
+                rdv.meet(ep.rank(), ep.now(), (), |_, max| ((), max));
             }
-            // Other ranks block on a message that will never come.
-            let _ = ep.recv((ep.rank() + 1) % 4, 0, 99);
         });
+        assert!(msg.contains("rank 0: rendezvous"), "{msg}");
+        assert!(msg.contains("rank 1: rendezvous"), "{msg}");
+        for (rank, src) in [(2, 3), (3, 2)] {
+            let want = format!("rank {rank}: mailbox receive (src, ctx, tag) = ({src}, 0, 5)");
+            assert!(msg.contains(&want), "{msg}");
+        }
     }
 
     #[test]

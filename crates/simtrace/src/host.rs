@@ -37,10 +37,10 @@
 //!
 //! # Fiber rule
 //!
-//! A scoped timer must never span a fiber yield: the fiber executor
-//! multiplexes many ranks on one OS thread, so a scope crossing a yield
-//! would absorb *other* fibers' runtime. Probe sites are therefore
-//! placed only around non-yielding sections; the scheduler itself times
+//! A scoped timer must never span a fiber park: the fiber executor
+//! multiplexes many ranks on each worker thread, so a scope crossing a
+//! park would absorb *other* fibers' runtime. Probe sites are therefore
+//! placed only around non-parking sections; the scheduler itself times
 //! each fiber slice (resume → suspend) as the [`Site::FiberRun`] frame,
 //! which leaf probes nest under.
 //!
@@ -80,9 +80,10 @@ pub enum Site {
     /// time is everything no finer probe accounts for (setup, workload
     /// verification, result folding).
     Scenario = 0,
-    /// Fiber scheduler: run-queue bookkeeping, context-switch cost and
-    /// stall detection (self time of the whole `run_fibers` loop minus
-    /// the fiber slices nested inside it).
+    /// Fiber scheduler: run-queue bookkeeping, context-switch cost and,
+    /// with several workers, time asleep waiting for a wake (self time
+    /// of a whole executor worker loop minus the fiber slices nested
+    /// inside it).
     FiberSched,
     /// One fiber slice: resume → suspend. Self time is the simulated
     /// rank's own code between the finer probes below.
@@ -612,7 +613,7 @@ mod engine {
             debug_assert_eq!(
                 popped,
                 Some(site as u8),
-                "hostprof scope imbalance: a scope crossed a yield or was dropped out of order"
+                "hostprof scope imbalance: a scope crossed a fiber park or was dropped out of order"
             );
             let _ = popped;
             let path = st.path;
@@ -780,7 +781,7 @@ pub fn set_enabled(on: bool) {
 }
 
 /// Open a scoped timer on `site`; the sample is recorded when the
-/// returned guard drops. Must not span a fiber yield (see module docs).
+/// returned guard drops. Must not span a fiber park (see module docs).
 #[cfg(not(feature = "hostprof-off"))]
 #[inline]
 pub fn scope(site: Site) -> ScopeGuard {

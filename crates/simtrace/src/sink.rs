@@ -282,7 +282,7 @@ impl StreamState {
     /// the first error is kept for `finish_stream`.
     fn spill(&self, key: TrackKey, buf: &mut TrackBuf) {
         // hostprof: chunk serialization + file write (blocking I/O, but
-        // never a fiber yield).
+        // never a fiber park).
         let _hp = crate::host::scope(crate::host::Site::TraceSpill);
         if buf.events.is_empty() {
             return;

@@ -158,7 +158,6 @@ pub fn run_restart(w: Restart, cfg: RunConfig) -> RestartResult {
         stack_size: simnet::default_stack_size(),
         trace: cfg.trace.clone(),
         faults: cfg.faults.clone(),
-        workers: 0,
         placement,
     };
 

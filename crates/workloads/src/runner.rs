@@ -173,9 +173,9 @@ where
     let workload = Arc::new(workload);
     let mut net = simnet::NetworkModel::cray_xt_seastar();
     tweak(&mut net);
-    // Subgroup→worker placement hint: under the sharded fiber executor
+    // Subgroup→worker placement hint: with several executor workers
     // (SIMNET_WORKERS > 1) keep every ParColl subgroup's ranks on one
-    // executor worker so intra-subgroup exchange stays worker-local.
+    // worker so intra-subgroup exchange stays worker-local.
     // Host-side only — virtual time is placement-independent.
     let placement = match cfg.mode {
         IoMode::Parcoll { groups } if groups > 1 && simnet::workers() > 1 => Some(Arc::new(
@@ -190,7 +190,6 @@ where
         stack_size: simnet::default_stack_size(),
         trace: cfg.trace.clone(),
         faults: cfg.faults.clone(),
-        workers: 0,
         placement,
     };
 

@@ -19,15 +19,15 @@
 //!    byte-exact, sieving on or off.
 
 use proptest::prelude::*;
-use simnet::{Executor, FaultPlan};
+use simnet::FaultPlan;
 use simtrace::{chrome_trace_json, metrics_json, TraceSink};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use workloads::restart::{run_restart, Restart, RestartResult};
 use workloads::runner::{IoMode, RunConfig};
 use workloads::tileio::TileIo;
 
-/// Serialize executor-global tests and restore the single-worker fiber
-/// default when the guard drops, even on panic.
+/// Serialize tests that set the process-global worker count and restore
+/// the single-worker default when the guard drops, even on panic.
 struct ExecutorGuard(#[allow(dead_code)] MutexGuard<'static, ()>);
 
 fn executor_lock() -> ExecutorGuard {
@@ -41,7 +41,6 @@ fn executor_lock() -> ExecutorGuard {
 
 impl Drop for ExecutorGuard {
     fn drop(&mut self) {
-        simnet::set_executor(Executor::Fibers);
         simnet::set_workers(1);
     }
 }
@@ -176,11 +175,12 @@ fn sharded_workers_agree_on_sieved_reads() {
             traced_restart(Restart::tiny(8), IoMode::Parcoll { groups: 2 }, true, None);
         (r.read_seconds.to_bits(), trace, metrics)
     };
-    simnet::set_executor(Executor::Fibers);
     simnet::set_workers(1);
     let baseline = run();
-    simnet::set_workers(4);
-    assert_eq!(baseline, run(), "sharded fibers at 4 workers diverged");
+    for w in [2usize, 4, 8] {
+        simnet::set_workers(w);
+        assert_eq!(baseline, run(), "sharded fibers at {w} workers diverged");
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -1,24 +1,24 @@
-//! Determinism of the sharded fiber executor at the workload level
-//! (DESIGN.md §9): virtual time is a pure function of the run
-//! configuration, so the same workload must produce bitwise-identical
-//! results — virtual seconds, trace JSON, metrics JSON — whether the
-//! cluster runs on the classic single-threaded fiber scheduler, on the
-//! sharded executor at any worker count, or on the OS-thread fallback.
-//! Verify-mode runs additionally check the file image byte-for-byte
-//! inside the run, so agreement here covers the stored bytes too.
+//! Determinism of the fiber executor across worker counts at the
+//! workload level (DESIGN.md §9): virtual time is a pure function of the
+//! run configuration, so the same workload must produce
+//! bitwise-identical results — virtual seconds, trace JSON, metrics
+//! JSON — whether the cluster runs on one worker (every rank on the
+//! calling thread) or sharded across any number of workers. Verify-mode
+//! runs additionally check the file image byte-for-byte inside the run,
+//! so agreement here covers the stored bytes too.
 //!
-//! The executor and worker count are process-global knobs
-//! ([`simnet::set_executor`], [`simnet::set_workers`]), so every test in
-//! this file serializes on one mutex and restores the defaults on exit.
+//! The worker count is a process-global knob ([`simnet::set_workers`]),
+//! so every test in this file serializes on one mutex and restores the
+//! default on exit.
 
-use simnet::{Executor, FaultPlan};
+use simnet::FaultPlan;
 use simtrace::{chrome_trace_json, metrics_json, TraceSink};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use workloads::runner::{run_workload, IoMode, RunConfig, RunResult};
 use workloads::tileio::TileIo;
 
-/// Serialize tests (process-global executor state) and restore the
-/// single-worker fiber default when the guard drops, even on panic.
+/// Serialize tests (process-global worker count) and restore the
+/// single-worker default when the guard drops, even on panic.
 struct ExecutorGuard(#[allow(dead_code)] MutexGuard<'static, ()>);
 
 fn executor_lock() -> ExecutorGuard {
@@ -32,7 +32,6 @@ fn executor_lock() -> ExecutorGuard {
 
 impl Drop for ExecutorGuard {
     fn drop(&mut self) {
-        simnet::set_executor(Executor::Fibers);
         simnet::set_workers(1);
     }
 }
@@ -52,24 +51,20 @@ fn traced_run(mode: IoMode, faults: Option<Arc<FaultPlan>>) -> (f64, String, Str
     (r.write_seconds, chrome_trace_json(&trace), metrics_json(&trace))
 }
 
-/// Run `make` under single-worker fibers, then under the sharded
-/// executor at 2/4/8 workers, then under the thread fallback, asserting
-/// bitwise agreement with the single-worker baseline every time.
+/// Run `make` on one worker, then sharded across 2/4/8 workers,
+/// asserting bitwise agreement with the single-worker baseline every
+/// time.
 fn assert_executor_invariant<T, F>(what: &str, make: F)
 where
     T: PartialEq + std::fmt::Debug,
     F: Fn() -> T,
 {
-    simnet::set_executor(Executor::Fibers);
     simnet::set_workers(1);
     let baseline = make();
     for w in [2usize, 4, 8] {
         simnet::set_workers(w);
         assert_eq!(baseline, make(), "{what}: sharded fibers at {w} workers diverged");
     }
-    simnet::set_executor(Executor::Threads);
-    simnet::set_workers(1);
-    assert_eq!(baseline, make(), "{what}: thread fallback diverged");
 }
 
 #[test]
@@ -90,9 +85,8 @@ fn sharded_chaos_run_matches_single_worker() {
     let _guard = executor_lock();
     // Aggregator crash after the first write round: the failover replay
     // (re-dissemination, cursor rebuild, adopted domains) crosses
-    // subgroup — and therefore worker — boundaries, and defers the fault
-    // timer through the stall coordinator. Verify mode still checks the
-    // file image byte-for-byte inside each run.
+    // subgroup — and therefore worker — boundaries. Verify mode still
+    // checks the file image byte-for-byte inside each run.
     let plan = || Some(Arc::new(FaultPlan::new(0xFEED).aggregator_crash(0, 1)));
     assert_executor_invariant("chaos parcoll", || {
         traced_run(IoMode::Parcoll { groups: 4 }, plan())
