@@ -13,7 +13,8 @@
 //! ```
 //!
 //! Each tracked figure sweep runs in-process (no exec overhead): `warmup`
-//! discarded runs, then `iters` timed runs; the row reports the median
+//! discarded runs, then `iters` timed runs (`--figure` selects sweeps by
+//! exact name); the row reports the median
 //! with min/max/mean extras. Series are labeled `<figure>@<LABEL>` so one
 //! document can hold several builds side by side — the committed
 //! `bench_results/BENCH_hostperf.json` carries the pre-PR baseline series
@@ -57,7 +58,8 @@
 //! single-core runners `workers>1` legitimately costs scheduling
 //! overhead instead of gaining parallelism.
 
-use bench::figures::{collective_wall, restart_read_sweep, tileio_group_sweep, tileio_scalability};
+use bench::figures::{figure, tileio_at};
+use bench::hostprof::{scenarios, Scenario};
 use bench::regress::Tolerance;
 use bench::{emit_json, print_table, rows_from_json, rows_to_json, Row, Scale};
 use std::time::Instant;
@@ -122,6 +124,14 @@ struct Args {
     tol_overrides: Vec<(String, Tolerance)>,
     out: Option<String>,
     emit: bool,
+}
+
+impl Args {
+    /// Whether `--figure` selects the sweep `name` (every sweep when no
+    /// `--figure` was given).
+    fn selects(&self, name: &str) -> bool {
+        self.figures.is_empty() || self.figures.iter().any(|f| f == name)
+    }
 }
 
 fn parse_args() -> Args {
@@ -222,72 +232,33 @@ fn parse_tol(spec: &str) -> (String, Tolerance) {
     (figure.to_string(), Tolerance { rel, abs })
 }
 
-/// The figure sweeps the trajectory tracks. `fig1_collective_wall` is the
-/// headline (the sweep every PR's speedup claim is judged on); the others
-/// cover the ParColl subgroup path and the multi-size scalability sweep.
-fn tracked(scale: Scale) -> Vec<bench::hostprof::Scenario> {
-    let full = scale == Scale::Paper;
-    vec![
-        (
-            "fig1_collective_wall",
-            Box::new(move || {
-                let procs: &[usize] = if full { &[16, 32, 64, 128, 256, 512] } else { &[8, 16, 32] };
-                std::hint::black_box(collective_wall(procs, full));
-            }) as Box<dyn Fn()>,
-        ),
-        (
-            "fig7_tileio_groups",
-            Box::new(move || {
-                let (procs, groups): (usize, &[usize]) = if full {
-                    (512, &[1, 2, 4, 8, 16, 32, 64, 128, 256])
-                } else {
-                    (16, &[1, 2, 4])
-                };
-                std::hint::black_box(tileio_group_sweep(procs, groups, full));
-            }),
-        ),
-        (
-            "fig9_scalability",
-            Box::new(move || {
-                let procs: &[usize] = if full { &[64, 128, 256, 512, 1024] } else { &[8, 16] };
-                std::hint::black_box(tileio_scalability(procs, |p| (p / 8).min(64), full));
-            }),
-        ),
-        (
-            // The read path: the restart read sweep exercises the sieve
-            // decision, the list-I/O coalescer, and the collective read
-            // exchange — this row prices the read machinery in host time.
-            "read_sweep",
-            Box::new(move || {
-                let (procs, groups): (usize, &[usize]) = if full {
-                    (256, &[1, 2, 4, 8, 16, 32])
-                } else {
-                    (16, &[1, 2, 4])
-                };
-                std::hint::black_box(restart_read_sweep(procs, groups, full, 4));
-            }),
-        ),
-        (
-            // The fault path: an aggregator crash after the first write
-            // round forces the failover replay (re-dissemination, cursor
-            // rebuild, adopted-domain exchange) on every collective call
-            // that follows — this row prices that machinery in host time.
-            "chaos_recovery",
-            Box::new(move || {
-                use workloads::runner::{run_workload, IoMode, RunConfig};
-                use workloads::tileio::TileIo;
-                let ranks = if full { 64 } else { 16 };
-                let mut cfg = RunConfig::paper(IoMode::Collective);
-                cfg.info.set("cb_nodes", 4i64);
-                cfg.info.set("cb_buffer_size", 128i64);
-                cfg.faults = Some(std::sync::Arc::new(
-                    simnet::FaultPlan::new(0xDEAD).aggregator_crash(0, 1),
-                ));
-                std::hint::black_box(run_workload(TileIo::tiny(ranks), cfg));
-            }),
-        ),
-    ]
+/// The timed sweeps: the registry figures `hostprof` profiles (see
+/// [`bench::hostprof::TRACKED`]) plus `chaos_recovery`, the fault path:
+/// an aggregator crash after the first write round forces the failover
+/// replay (re-dissemination, cursor rebuild, adopted-domain exchange) on
+/// every collective call that follows — this row prices that machinery
+/// in host time.
+fn tracked(scale: Scale) -> Vec<Scenario> {
+    let ranks = scale.pick(64, 16);
+    let chaos_recovery = move || {
+        use workloads::runner::{run_workload, IoMode, RunConfig};
+        use workloads::tileio::TileIo;
+        let mut cfg = RunConfig::paper(IoMode::Collective);
+        cfg.info.set("cb_nodes", 4i64);
+        cfg.info.set("cb_buffer_size", 128i64);
+        cfg.faults = Some(std::sync::Arc::new(
+            simnet::FaultPlan::new(0xDEAD).aggregator_crash(0, 1),
+        ));
+        std::hint::black_box(run_workload(TileIo::tiny(ranks), cfg));
+    };
+    let mut all = scenarios(scale);
+    all.push(("chaos_recovery", Box::new(chaos_recovery)));
+    all
 }
+
+/// A sweep the `--integrity-ab` gate times, parameterized by the checksum
+/// knob: `(figure name, runner)`.
+type IntegrityScenario = (&'static str, Box<dyn Fn(bool)>);
 
 /// The fig1/fig9-shaped sweeps the `--integrity-ab` gate times, each
 /// parameterized by the checksum knob. Paper configuration on both
@@ -296,21 +267,21 @@ fn tracked(scale: Scale) -> Vec<bench::hostprof::Scenario> {
 /// pipeline itself: the hint plumbing, trailer bookkeeping, and per-page
 /// sum tracking (synthetic pages record a marker, real hashing only
 /// happens where data is real).
-fn integrity_scenarios(scale: Scale) -> Vec<(&'static str, Box<dyn Fn(bool)>)> {
+fn integrity_scenarios(scale: Scale) -> Vec<IntegrityScenario> {
     use workloads::runner::{run_workload, IoMode, RunConfig};
     let full = scale == Scale::Paper;
     let paper_run = move |p: usize, mode: IoMode, integrity: bool| {
         let mut cfg = RunConfig::paper(mode);
         cfg.integrity = integrity;
-        std::hint::black_box(run_workload(bench::figures::tileio_at(p, full), cfg));
+        std::hint::black_box(run_workload(tileio_at(p, full), cfg));
     };
+    let procs = |name| figure(name).expect("registered figure").procs_at(scale);
+    let (fig1_procs, fig9_procs) = (procs("fig1_collective_wall"), procs("fig9_scalability"));
     vec![
         (
             "fig1_collective_wall",
             Box::new(move |integrity| {
-                let procs: &[usize] =
-                    if full { &[16, 32, 64, 128, 256, 512] } else { &[8, 16, 32] };
-                for &p in procs {
+                for &p in fig1_procs {
                     paper_run(p, IoMode::Collective, integrity);
                 }
             }) as Box<dyn Fn(bool)>,
@@ -318,8 +289,7 @@ fn integrity_scenarios(scale: Scale) -> Vec<(&'static str, Box<dyn Fn(bool)>)> {
         (
             "fig9_scalability",
             Box::new(move |integrity| {
-                let procs: &[usize] = if full { &[64, 128, 256, 512, 1024] } else { &[8, 16] };
-                for &p in procs {
+                for &p in fig9_procs {
                     paper_run(p, IoMode::Collective, integrity);
                     let g = (p / 8).clamp(2, 64);
                     paper_run(p, IoMode::Parcoll { groups: g }, integrity);
@@ -384,7 +354,7 @@ fn main() {
     let args = parse_args();
     let mut rows = Vec::new();
     for (name, run) in tracked(args.scale) {
-        if !args.figures.is_empty() && !args.figures.iter().any(|f| name.starts_with(f.as_str())) {
+        if !args.selects(name) {
             continue;
         }
         let samples = time_sweep(&run, args.warmup, args.iters);
@@ -404,18 +374,15 @@ fn main() {
         // pinned per series. Restore the ambient worker count after, so
         // `--workers`/`SIMNET_WORKERS` still governs anything else.
         let ambient = simnet::workers();
-        for (name, run) in tracked(args.scale) {
-            if !MATRIX_FIGURES.contains(&name) {
-                continue;
-            }
-            if !args.figures.is_empty()
-                && !args.figures.iter().any(|f| name.starts_with(f.as_str()))
-            {
+        let all = tracked(args.scale);
+        for name in MATRIX_FIGURES {
+            let (_, run) = all.iter().find(|(n, _)| *n == name).expect("matrix figure is tracked");
+            if !args.selects(name) {
                 continue;
             }
             for w in MATRIX_WORKERS {
                 simnet::set_workers(w);
-                let samples = time_sweep(&run, args.warmup, args.iters);
+                let samples = time_sweep(run, args.warmup, args.iters);
                 rows.push(
                     timing_row(format!("{name}@workers{w}"), &samples, args.iters)
                         .with("workers", w as f64),
@@ -430,8 +397,7 @@ fn main() {
         // process, so the 5% budget compares like with like instead of
         // this runner against whichever machine wrote the baseline.
         for (name, run) in integrity_scenarios(args.scale) {
-            if !args.figures.is_empty() && !args.figures.iter().any(|f| name.starts_with(f.as_str()))
-            {
+            if !args.selects(name) {
                 continue;
             }
             let off = time_sweep(&|| run(false), args.warmup, args.iters);

@@ -1,5 +1,6 @@
 //! `hostprof` — host wall-clock attribution for the simulator's hot
-//! paths. Runs the fig1/fig7/fig9 scenarios (the same sweeps `hostperf`
+//! paths. Runs the tracked figure scenarios (fig1, fig7, fig9 and
+//! `read_sweep` from the figure registry, the same sweeps `hostperf`
 //! times) with the `simtrace::host` profiler armed and prints, per
 //! scenario, the top-k host sinks with percentages of measured wall —
 //! fiber scheduling vs mailbox churn vs pack/unpack memcpy vs trace
@@ -86,7 +87,7 @@ fn main() {
     let mut rows = Vec::new();
     let mut ran = 0usize;
     for (name, run) in scenarios(args.scale) {
-        if !args.figures.is_empty() && !args.figures.iter().any(|f| name.starts_with(f.as_str())) {
+        if !args.figures.is_empty() && !args.figures.iter().any(|f| f == name) {
             continue;
         }
         ran += 1;

@@ -11,7 +11,6 @@
 //!   --mapping M          block | cyclic (default block)
 //!   --cb-nodes N         cap aggregators at one per node, N nodes
 //!   --align BYTES        stripe-align collective file domains
-//!   --adaptive           adaptive group-size selection
 //!   --autotune           online feedback tuning (parcoll::autotune)
 //!   --integrity          end-to-end checksums (pieces + at-rest pages)
 //!   --scrub              at-rest scrub pass after the run (implies --integrity)
@@ -54,7 +53,7 @@ impl Args {
                 .unwrap_or_else(|| usage(&format!("unexpected argument {a:?}")))
                 .to_string();
             match key.as_str() {
-                "verify" | "adaptive" | "autotune" | "integrity" | "scrub" => {
+                "verify" | "autotune" | "integrity" | "scrub" => {
                     flags.insert(key);
                 }
                 _ => {
@@ -86,7 +85,7 @@ impl Args {
 
 fn usage(err: &str) -> ! {
     eprintln!("error: {err}");
-    eprintln!("usage: parcoll_sim <ior|tileio|btio|flashio> [--procs N] [--mode baseline|parcoll|independent] [--groups G] [--verify] [--mapping block|cyclic] [--cb-nodes N] [--align BYTES] [--adaptive] [--autotune] [workload options]");
+    eprintln!("usage: parcoll_sim <ior|tileio|btio|flashio> [--procs N] [--mode baseline|parcoll|independent] [--groups G] [--verify] [--mapping block|cyclic] [--cb-nodes N] [--align BYTES] [--autotune] [workload options]");
     std::process::exit(2);
 }
 
@@ -135,9 +134,6 @@ fn main() {
     }
     if let Some(a) = args.map.get("align") {
         cfg.info.set("striping_unit", a);
-    }
-    if args.flags.contains("adaptive") {
-        cfg.info.set("parcoll_adaptive", "true");
     }
     let rot: usize = args.get("rot", 0);
     if rot > 0 {

@@ -1,6 +1,6 @@
 //! `report` — render the JSON series under `bench_results/` as markdown
 //! tables (one per figure), so EXPERIMENTS.md numbers are regenerable
-//! with two commands: run the figure binaries, then `report`. Simtrace
+//! with two commands: run `figures`, then `report`. Simtrace
 //! metrics documents (from `trace_dump`), run digests (from `explain`),
 //! diff reports and time-series documents are folded in as their own
 //! sections.
@@ -33,7 +33,7 @@ fn main() {
             .filter(|p| p.extension().is_some_and(|x| x == "json"))
             .collect(),
         Err(e) => {
-            eprintln!("no bench_results directory ({e}); run the figure binaries first");
+            eprintln!("no bench_results directory ({e}); run `figures` first");
             std::process::exit(1);
         }
     };

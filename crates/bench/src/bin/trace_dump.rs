@@ -57,18 +57,33 @@ fn run_traced(sink: &TraceSink, procs: usize) -> Vec<PhaseProfile> {
     })
 }
 
+fn usage(err: &str) -> ! {
+    eprintln!("trace_dump: {err}");
+    eprintln!("usage: trace_dump [--procs N] [--out DIR] [--top K] [--summary]");
+    std::process::exit(2);
+}
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let get = |key: &str| {
-        args.iter()
-            .position(|a| a == key)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
-    let procs: usize = get("--procs").and_then(|v| v.parse().ok()).unwrap_or(16);
-    let top_k: usize = get("--top").and_then(|v| v.parse().ok()).unwrap_or(5);
-    let out_dir = get("--out").unwrap_or_else(|| "trace_out".into());
-    let summary = args.iter().any(|a| a == "--summary");
+    let (mut procs, mut top_k, mut out_dir, mut summary) =
+        (16usize, 5usize, "trace_out".to_string(), false);
+    let mut args = std::env::args().skip(1);
+    while let Some(a) = args.next() {
+        let mut value = || {
+            args.next()
+                .unwrap_or_else(|| usage(&format!("{a} needs a value")))
+        };
+        let number = |v: String| {
+            v.parse()
+                .unwrap_or_else(|_| usage(&format!("bad value for {a}: {v:?}")))
+        };
+        match a.as_str() {
+            "--procs" => procs = number(value()),
+            "--top" => top_k = number(value()),
+            "--out" => out_dir = value(),
+            "--summary" => summary = true,
+            other => usage(&format!("unknown argument {other:?}")),
+        }
+    }
     assert!(procs >= 2, "need at least 2 ranks for a collective");
 
     let sink = TraceSink::enabled();

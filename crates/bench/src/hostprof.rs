@@ -7,7 +7,7 @@
 //! `hostperf --profile` reuses [`profile`] + [`print_top`] to attach an
 //! attribution printout to its timing runs.
 
-use crate::figures::{collective_wall, tileio_group_sweep, tileio_scalability};
+use crate::figures::figure;
 use crate::{Row, Scale};
 use simtrace::host;
 use std::time::Instant;
@@ -15,38 +15,28 @@ use std::time::Instant;
 /// A named figure sweep to run in-process: `(figure name, runner)`.
 pub type Scenario = (&'static str, Box<dyn Fn()>);
 
-/// The profiled figure scenarios: the same fig1/fig7/fig9 sweeps
-/// `hostperf` times (identical parameters per scale), so attribution
-/// percentages line up with the wall-clock series PRs are judged on.
+/// The figures `hostperf` times and `hostprof` profiles. `fig1` is the
+/// headline (the sweep every speedup claim is judged on); fig7 covers the
+/// ParColl subgroup path, fig9 the multi-size scalability sweep and
+/// `read_sweep` the read machinery (sieve decision, list-I/O coalescer,
+/// collective read exchange).
+pub const TRACKED: [&str; 4] =
+    ["fig1_collective_wall", "fig7_tileio_groups", "fig9_scalability", "read_sweep"];
+
+/// The [`TRACKED`] figures as scenarios: each runs the registry entry's
+/// rows at `scale`, so the host-time series time exactly the sweep the
+/// figure regenerates.
 pub fn scenarios(scale: Scale) -> Vec<Scenario> {
-    let full = scale == Scale::Paper;
-    vec![
-        (
-            "fig1_collective_wall",
-            Box::new(move || {
-                let procs: &[usize] = if full { &[16, 32, 64, 128, 256, 512] } else { &[8, 16, 32] };
-                std::hint::black_box(collective_wall(procs, full));
-            }) as Box<dyn Fn()>,
-        ),
-        (
-            "fig7_tileio_groups",
-            Box::new(move || {
-                let (procs, groups): (usize, &[usize]) = if full {
-                    (512, &[1, 2, 4, 8, 16, 32, 64, 128, 256])
-                } else {
-                    (16, &[1, 2, 4])
-                };
-                std::hint::black_box(tileio_group_sweep(procs, groups, full));
-            }),
-        ),
-        (
-            "fig9_scalability",
-            Box::new(move || {
-                let procs: &[usize] = if full { &[64, 128, 256, 512, 1024] } else { &[8, 16] };
-                std::hint::black_box(tileio_scalability(procs, |p| (p / 8).min(64), full));
-            }),
-        ),
-    ]
+    TRACKED
+        .iter()
+        .map(|&name| {
+            let fig = figure(name).expect("tracked figure is in the registry");
+            let run = move || {
+                std::hint::black_box((fig.rows)(scale));
+            };
+            (fig.name, Box::new(run) as Box<dyn Fn()>)
+        })
+        .collect()
 }
 
 /// One profiled scenario run: the folded sample report plus the

@@ -1,12 +1,13 @@
 //! # bench — the figure-reproduction harness
 //!
-//! One binary per figure of the paper's evaluation (§5), each printing
-//! the same series the paper plots and emitting machine-readable JSON
-//! under `bench_results/`:
+//! Every figure of the paper's evaluation (§5), plus the ablations and
+//! sweeps beyond it, is one entry of the registry
+//! [`figures::FIGURES`]. The `figures` binary runs them (`figures
+//! [--quick] [NAME...]`), printing the series the paper plots and
+//! emitting machine-readable JSON under `bench_results/`:
 //!
-//! | binary | paper figure | content |
+//! | entry | paper figure | content |
 //! |---|---|---|
-//! | `fig5_aggregators` | Fig. 5 | the aggregator-distribution table, verbatim |
 //! | `fig1_collective_wall` | Fig. 1 | % of MPI-Tile-IO time in global sync vs process count |
 //! | `fig2_breakdown` | Fig. 2 | absolute sync / p2p / file-I/O time vs process count |
 //! | `fig6_ior` | Fig. 6 | IOR collective-write bandwidth, baseline vs ParColl-N |
@@ -15,12 +16,18 @@
 //! | `fig9_scalability` | Fig. 9 | MPI-Tile-IO write bandwidth vs process count |
 //! | `fig10_btio` | Fig. 10 | BT-IO class C bandwidth vs process count |
 //! | `fig11_flashio` | Fig. 11 | Flash-IO checkpoint bandwidth, aggregator variants |
-//! | `read_sweep` | §5 read counterpart | restart `read_at_all` bandwidth vs subgroups, sieving off/on |
 //! | `ablation_alltoall` | §1 claim | pairwise vs Bruck alltoall: the wall survives |
 //! | `ablation_groupsize` | §4 trade-off | group-size sweep across process counts |
 //! | `ablation_iview` | §4.1 | reordering vs scatter vs disabled intermediate views |
-//! | `ablation_adaptive` | §6 future work | adaptive group-size controller vs fixed choices |
+//! | `ablation_alignment` | Lustre refinement | even vs stripe-aligned collective file domains |
 //! | `ablation_mapping` | Fig. 5 context | block vs cyclic placement under shared-NIC injection |
+//! | `critical_path` | §5 wall, per path | happens-before critical path and sync-free what-ifs |
+//! | `fault_sweep` | robustness | write bandwidth vs injected fault intensity |
+//! | `autotune_sweep` | §6 future work | online tuning vs the static subgroup ladder |
+//! | `read_sweep` | §5 read counterpart | restart `read_at_all` bandwidth vs subgroups, sieving off/on |
+//!
+//! `fig5_aggregators` prints Fig. 5's aggregator-distribution table
+//! verbatim; it emits no rows, so it stays its own binary.
 //!
 //! Also here: `parcoll_sim`, a command-line driver for any workload ×
 //! mode × scale; `report`, which renders `bench_results/*.json` as
@@ -34,10 +41,10 @@
 //! paths — fiber scheduling, mailboxes, buffer pooling, pack/unpack —
 //! with a collapsed-stack flamegraph export.
 //!
-//! Binaries accept `--quick` to run a reduced-scale version (smaller
-//! process counts and data) for smoke testing; the default is the paper's
-//! scale. Criterion micro-benchmarks of the protocol building blocks live
-//! in `benches/`.
+//! `figures`, `hostperf` and `hostprof` accept `--quick` to run a
+//! reduced-scale version (smaller process counts and data) for smoke
+//! testing; the default is the paper's scale. Criterion micro-benchmarks
+//! of the protocol building blocks live in `benches/`.
 
 #![warn(missing_docs)]
 

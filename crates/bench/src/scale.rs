@@ -1,4 +1,4 @@
-//! Run-scale selection for the figure binaries.
+//! Run-scale selection for the figure registry and the host-time tools.
 
 /// Paper-scale or reduced-scale execution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -19,7 +19,6 @@
 //! many collective writes with the same rank ordering, and the
 //! communicator split is reused when the membership vector is unchanged.
 
-use crate::adaptive::AdaptiveGroups;
 use crate::aggdist::distribute_aggregators;
 use crate::autotune::{
     direction_signature, pattern_signature, shape_signature, AutoTuner, DecisionRecord,
@@ -640,7 +639,6 @@ pub struct ParcollFile<'ep> {
     pcfg: ParcollConfig,
     cache: Option<GroupCacheBox<'ep>>,
     last_mode: Option<PartitionMode>,
-    adaptive: Option<AdaptiveGroups>,
     path: String,
     tune: Option<TuneRuntime>,
 }
@@ -686,9 +684,6 @@ fn mode_class(m: PartitionMode) -> ModeClass {
 impl<'ep> ParcollFile<'ep> {
     fn build(file: File<'ep>, pcfg: ParcollConfig, path: &str) -> ParcollFile<'ep> {
         let nprocs = file.comm().size();
-        // Autotune supersedes the §6 ladder prober when both are hinted.
-        let adaptive = (pcfg.adaptive && !pcfg.autotune)
-            .then(|| AdaptiveGroups::new(nprocs, pcfg.min_group_size));
         let tune = pcfg.autotune.then(|| TuneRuntime {
             cache: PolicyCache::new(),
             calls_per_epoch: pcfg.autotune_epoch as u64,
@@ -710,7 +705,6 @@ impl<'ep> ParcollFile<'ep> {
             pcfg,
             cache: None,
             last_mode: None,
-            adaptive,
             path: path.to_string(),
             tune,
         }
@@ -763,26 +757,17 @@ impl<'ep> ParcollFile<'ep> {
         self.file.set_view(displacement, filetype);
     }
 
-    /// Partitioned collective write at a view offset. With the
-    /// `parcoll_adaptive` hint, the first calls probe a ladder of group
-    /// counts (one global agreement per probe) before committing to the
-    /// fastest.
+    /// Partitioned collective write at a view offset.
     pub fn write_at_all(&mut self, offset: u64, buf: &IoBuffer) {
         self.ensure_tuner(offset, buf.len() as u64, false);
         let pcfg = self.effective_pcfg();
-        let ep = self.file.comm().endpoint();
-        let t0 = ep.now();
         let mode = write_at_all(&mut self.file, &pcfg, &mut self.cache, offset, buf);
         self.last_mode = Some(mode);
-        self.adaptive_record(t0);
         self.tune_record();
     }
 
     fn effective_pcfg(&self) -> ParcollConfig {
         let mut pcfg = self.pcfg.clone();
-        if let Some(a) = &self.adaptive {
-            pcfg.groups = Some(a.next_groups());
-        }
         if let Some(t) = self.tune.as_ref().and_then(|tr| tr.tuner.as_ref()) {
             let k = t.current();
             pcfg.groups = Some(k.groups);
@@ -1013,36 +998,6 @@ impl<'ep> ParcollFile<'ep> {
             .map(|t| t.current())
     }
 
-    fn adaptive_record(&mut self, t0: simnet::SimTime) {
-        let Some(a) = self.adaptive.as_mut() else {
-            return;
-        };
-        if a.is_committed() {
-            return;
-        }
-        // Probing: agree on the slowest rank's elapsed time so every rank
-        // makes the same decision (one whole-group sync per probe only).
-        let comm = self.file.comm().clone();
-        let ep = comm.endpoint();
-        let elapsed_us = (ep.now() - t0).as_micros().round() as u64;
-        let t = mpiio::profile::PhaseTimer::start(mpiio::profile::Phase::Sync, ep.now());
-        let agreed = comm.allreduce_u64(&[elapsed_us], simmpi::ReduceOp::Max)[0];
-        t.stop_traced(ep.now(), self.file.profile_mut(), ep.trace());
-        let before = a.next_groups();
-        a.record(agreed as f64 * 1e-6);
-        // Invalidate the cached split only when the group count actually
-        // changes; calls within a probe rung keep their subgroups (and
-        // their drift).
-        if a.next_groups() != before {
-            self.cache = None;
-        }
-    }
-
-    /// The adaptive controller, if `parcoll_adaptive` is on.
-    pub fn adaptive_state(&self) -> Option<&AdaptiveGroups> {
-        self.adaptive.as_ref()
-    }
-
     /// Partitioned collective read at a view offset. Reads feed the same
     /// autotune loop as writes, under a separate direction-namespaced
     /// policy signature — a learned write policy is never mis-applied to
@@ -1051,12 +1006,9 @@ impl<'ep> ParcollFile<'ep> {
     pub fn read_at_all(&mut self, offset: u64, nbytes: u64) -> IoBuffer {
         self.ensure_tuner(offset, nbytes, true);
         let pcfg = self.effective_pcfg();
-        let ep = self.file.comm().endpoint();
-        let t0 = ep.now();
         let (mode, data) =
             read_at_all(&mut self.file, &pcfg, &mut self.cache, offset, nbytes);
         self.last_mode = Some(mode);
-        self.adaptive_record(t0);
         self.tune_record();
         data
     }

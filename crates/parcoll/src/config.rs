@@ -25,10 +25,6 @@ pub struct ParcollConfig {
     pub force_iview: Option<bool>,
     /// FA balancing strategy (`parcoll_balance` = `count` | `bytes`).
     pub balance: crate::fa::Balance,
-    /// Adaptive subgroup-count selection (`parcoll_adaptive`): probe a
-    /// ladder of group counts over the first calls and commit to the
-    /// fastest — the paper's §6 future work (see [`crate::adaptive`]).
-    pub adaptive: bool,
     /// Ablation switch (`parcoll_iview_scatter`): materialize intermediate
     /// -view data at the *original* physical offsets (scattering each
     /// aggregator window through the view) instead of storing the file in
@@ -39,8 +35,7 @@ pub struct ParcollConfig {
     /// Online autotuning (`parcoll_autotune`): close the simtrace
     /// phase-attribution signal into a feedback loop that retunes the
     /// subgroup count, aggregator layout and FA strategy per epoch (see
-    /// [`crate::autotune`]). Supersedes `parcoll_adaptive` when both are
-    /// set.
+    /// [`crate::autotune`]).
     pub autotune: bool,
     /// Collective calls per autotune epoch (`parcoll_autotune_epoch`,
     /// default 1).
@@ -71,7 +66,6 @@ impl Default for ParcollConfig {
             min_group_size: 8,
             force_iview: None,
             balance: crate::fa::Balance::Count,
-            adaptive: false,
             iview_scatter: false,
             autotune: false,
             autotune_epoch: 1,
@@ -93,7 +87,6 @@ impl ParcollConfig {
                 Some("bytes") => crate::fa::Balance::Bytes,
                 _ => crate::fa::Balance::Count,
             },
-            adaptive: info.get_bool("parcoll_adaptive").unwrap_or(false),
             iview_scatter: info.get_bool("parcoll_iview_scatter").unwrap_or(false),
             autotune: info.get_bool("parcoll_autotune").unwrap_or(false),
             autotune_epoch: info.get_usize("parcoll_autotune_epoch").unwrap_or(1).max(1),
@@ -142,9 +135,6 @@ mod tests {
         assert_eq!(c.min_group_size, 4);
         assert_eq!(c.force_iview, Some(true));
         assert!(!c.iview_scatter);
-        assert!(!c.adaptive);
-        let c3 = ParcollConfig::from_info(&Info::new().with("parcoll_adaptive", "true"));
-        assert!(c3.adaptive);
         let c4 = ParcollConfig::from_info(&Info::new().with("parcoll_balance", "bytes"));
         assert_eq!(c4.balance, crate::fa::Balance::Bytes);
         let c2 = ParcollConfig::from_info(&Info::new().with("parcoll_iview_scatter", "true"));

@@ -39,7 +39,6 @@
 
 #![warn(missing_docs)]
 
-pub mod adaptive;
 pub mod aggdist;
 pub mod autotune;
 pub mod coll;
@@ -47,7 +46,6 @@ pub mod config;
 pub mod fa;
 pub mod iview;
 
-pub use adaptive::AdaptiveGroups;
 pub use autotune::{
     AutoTuner, DecisionRecord, EpochFeedback, FaStrategy, ModeClass, PolicyCache, TuneKnobs,
 };

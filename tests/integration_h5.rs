@@ -1,5 +1,5 @@
 //! Cross-crate integration: the hierarchical container over ParColl with
-//! feature combinations (adaptive groups, stripe-aligned domains), at the
+//! feature combinations (online autotuning, stripe-aligned domains), at the
 //! level an application (Flash) would use it.
 
 use h5lite::{AttrValue, H5File};
@@ -63,10 +63,10 @@ fn h5_over_baseline() {
 }
 
 #[test]
-fn h5_with_adaptive_groups() {
+fn h5_under_autotune() {
     checkpoint_roundtrip(
         Info::new()
-            .with("parcoll_adaptive", "true")
+            .with("parcoll_autotune", "true")
             .with("parcoll_min_group", 2),
     );
 }
